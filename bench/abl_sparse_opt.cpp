@@ -14,8 +14,7 @@
 //     [0.8, 1.1].  y is bit-identical across layouts by construction.
 //   * Table C repeats a slice on the 2-node machine (sharded-engine
 //     determinism coverage for --engine-threads); full mode adds a
-//     256-nodelet slice for the weekly sweep, sized for per-nodelet
-//     sharding (--engine-shard=nodelet).
+//     256-nodelet slice (32 node-card shards) for the weekly sweep.
 //   * Table D reorders a COO tensor's mode-0 slices by size and reruns the
 //     existing MTTKRP kernels — report-only.
 #include <string>
@@ -49,8 +48,8 @@ int main(int argc, char** argv) {
   bench::Harness h("abl_sparse_opt", argc, argv);
   const auto emu_cfg = emu::SystemConfig::chick_hw();
   const auto emu2_cfg = emu::SystemConfig::fullspeed_multinode(2);
-  // Full-mode only: a 256-nodelet slice for the weekly sweep, sized for the
-  // sub-node sharded engine (--engine-shard=nodelet scales to 256 shards).
+  // Full-mode only: a 256-nodelet slice for the weekly sweep, run on 32
+  // node-card shards.
   const auto emu256_cfg = emu::SystemConfig::chick_fullspeed_nx(256);
 
   // The ablation Xeon: sandy_bridge with the LLC shrunk so the x vector
@@ -113,7 +112,7 @@ int main(int argc, char** argv) {
   arms.push_back({"emu2_rmat", table_c, true, &emu2_cfg,
                   graph::EdgeDist::rmat});
   // The 256-nodelet slice is full-mode only: 32 node cards is weekly-sweep
-  // territory, and it is the arm the sub-node sharded engine is sized for.
+  // territory.
   if (!h.quick()) {
     arms.push_back({"emu256_rmat", table_c, true, &emu256_cfg,
                     graph::EdgeDist::rmat});

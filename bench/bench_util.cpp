@@ -38,8 +38,7 @@ std::string format_x(const report::ResultPoint& p) {
 std::string usage(const std::string& bench_name) {
   return "usage: " + bench_name +
          " [--csv <path>] [--json <path>] [--quick] [--filter <substr>]"
-         " [--reps <n>] [--jobs <n>] [--engine-threads <n>]"
-         " [--engine-shard {node|nodelet}] [--trace <path>]"
+         " [--reps <n>] [--jobs <n>] [--engine-threads <n>] [--trace <path>]"
          " [--trace-cap <records>] [--counters] [--help]\n"
          "value flags also accept --flag=value\n";
 }
@@ -107,13 +106,6 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err,
       if (!take_int(i, "--engine-threads", 1, 1024, &o.engine_threads)) {
         return false;
       }
-    } else if (std::strcmp(a, "--engine-shard") == 0) {
-      if (!take_value(i, "--engine-shard", &o.engine_shard)) return false;
-      if (o.engine_shard != "node" && o.engine_shard != "nodelet") {
-        *err = "--engine-shard wants 'node' or 'nodelet', got '" +
-               o.engine_shard + "'";
-        return false;
-      }
     } else if (std::strcmp(a, "--trace") == 0) {
       if (!take_value(i, "--trace", &o.trace_path)) return false;
       if (o.trace_path.empty()) {
@@ -157,9 +149,6 @@ Harness::Harness(std::string bench_name, int argc, char** argv,
   // Points run inline (no SweepPool) execute on this thread; SweepPool
   // workers install the same values on themselves (sweep_pool.cpp).
   emu::set_engine_threads(opt_.engine_threads);
-  emu::set_engine_shard(opt_.engine_shard == "nodelet"
-                            ? emu::EngineShard::nodelet
-                            : emu::EngineShard::node);
   start_wall_ = wall_now();
   tables_.push_back(TableGroup{name_, 1, {}});
   if (!opt_.trace_path.empty() || opt_.counters) {

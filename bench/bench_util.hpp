@@ -17,21 +17,11 @@
 //                    into the result in submission order regardless of
 //                    completion order (bench/sweep_pool.hpp)
 //   --engine-threads <n>
-//                    run each simulation point's engine shards on n worker
-//                    threads (default 1 = serial).  Like --jobs, the
+//                    run each simulation point's node-card shards on n
+//                    worker threads (default 1 = serial).  Like --jobs, the
 //                    output is byte-identical to serial apart from
 //                    wall-clock fields (src/sim/shard.hpp); the two flags
 //                    compose (jobs x engine-threads worker threads total)
-//   --engine-shard {node|nodelet}
-//                    engine shard granularity (default node: one shard per
-//                    node card).  nodelet shards per nodelet under
-//                    two-level windows, so --engine-threads can scale to
-//                    the nodelet count; within either granularity the
-//                    thread count never changes results.  The two
-//                    granularities are distinct machine models (intra-node
-//                    cross-nodelet deliveries pay the crossbar hop under
-//                    nodelet sharding), so their outputs are not expected
-//                    to match each other bit-for-bit
 //   --trace <path>   export the newest simulated run as Chrome/Perfetto
 //                    trace-event JSON (load at https://ui.perfetto.dev or
 //                    summarize with tools/traceview)
@@ -82,11 +72,6 @@ struct Options {
   /// excluded from the config fingerprint: like --jobs, any value produces
   /// the same simulated results.
   int engine_threads = 1;
-  /// Engine shard granularity: "node" (default) or "nodelet" (per-nodelet
-  /// shards under two-level windows; see src/sim/shard.hpp).  Excluded from
-  /// the config fingerprint like --engine-threads: the determinism contract
-  /// (thread count never changes results) holds within each granularity.
-  std::string engine_shard = "node";
   std::string trace_path;
   int trace_cap = 1 << 16;
   bool counters = false;

@@ -100,14 +100,10 @@ void SweepPool::submit(std::function<void(PointSink&)> job) {
 }
 
 void SweepPool::worker() {
-  // Each worker carries the harness's --engine-threads and --engine-shard
-  // values in its own thread-locals, so every machine a job constructs here
-  // runs its shards with that parallelism and granularity
-  // (emu::set_engine_threads / emu::set_engine_shard).
+  // Each worker carries the harness's --engine-threads value in its own
+  // thread-local, so every machine a job constructs here runs its shards
+  // with that parallelism (emu::set_engine_threads).
   emu::set_engine_threads(h_.opt().engine_threads);
-  emu::set_engine_shard(h_.opt().engine_shard == "nodelet"
-                            ? emu::EngineShard::nodelet
-                            : emu::EngineShard::node);
   for (;;) {
     Slot* slot = nullptr;
     std::size_t index = 0;

@@ -66,9 +66,7 @@ struct SystemConfig {
   /// latency (a migration traverses the fabric to the destination nodelet
   /// and back-pressures the same path).  This is the transit cost of
   /// anything crossing nodelets within a node without moving a full thread
-  /// context — the fetch-atomic request/response legs — and the lookahead
-  /// between a node's per-nodelet engine shards under
-  /// `--engine-shard=nodelet`.
+  /// context: the request and response legs of a same-node fetch-atomic.
   Time intranode_hop() const { return migration_latency / 2; }
   int slots_per_nodelet() const {
     return gcs_per_nodelet * threadlet_slots_per_gc;

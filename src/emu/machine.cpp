@@ -19,9 +19,6 @@ thread_local std::size_t g_engine_footprint_hint = 0;
 // decides independently how its machines run their shards.
 thread_local int g_engine_threads = 1;
 
-// Per-thread engine shard granularity (see set_engine_shard()).
-thread_local EngineShard g_engine_shard = EngineShard::node;
-
 // Per-thread run telemetry (see RunTelemetry in the header): machines fold
 // their engine event counts and footprint peak in at destruction; benches
 // consume with take_run_telemetry() after a point's machines are gone.
@@ -43,14 +40,6 @@ int set_engine_threads(int n) {
 }
 
 int engine_threads() { return g_engine_threads; }
-
-EngineShard set_engine_shard(EngineShard mode) {
-  const EngineShard prev = g_engine_shard;
-  g_engine_shard = mode;
-  return prev;
-}
-
-EngineShard engine_shard() { return g_engine_shard; }
 
 RunTelemetry take_run_telemetry() {
   const RunTelemetry r = g_run_telemetry;
@@ -76,21 +65,10 @@ std::uint64_t Nodelet::allocate(std::uint64_t bytes, std::uint64_t align) {
 
 Machine::Machine(const SystemConfig& cfg)
     : cfg_(cfg),
-      shards_per_node_(g_engine_shard == EngineShard::nodelet && cfg.nodes > 0
-                           ? cfg.nodelets_per_node
-                           : 1),
-      set_(static_cast<std::size_t>(
-          (cfg.nodes > 0 ? cfg.nodes : 1) * shards_per_node_)),
+      set_(static_cast<std::size_t>(cfg.nodes > 0 ? cfg.nodes : 1)),
       cycle_(cfg.cycle()),
       next_tid_(set_.shards(), 0) {
   cfg.validate();
-  if (shards_per_node_ > 1) {
-    // Two-level windows: the shards of one node run under the intra-node
-    // hop lookahead inside each inter-node-lookahead outer window.
-    EMUSIM_CHECK(cfg.intranode_hop() > 0);
-    set_.set_hierarchy(static_cast<std::size_t>(shards_per_node_),
-                       cfg.intranode_hop());
-  }
   if (g_engine_footprint_hint > 0) {
     for (int s = 0; s < num_shards(); ++s) {
       shard_engine(s).reserve(g_engine_footprint_hint);
@@ -103,13 +81,12 @@ Machine::Machine(const SystemConfig& cfg)
   }
   // Every node (and each of its nodelets) binds to its shard's engine: all
   // of a shard's resources schedule on the shard's own queue, never on a
-  // neighbor's.  Node-shared resources (migration engine, egress link)
-  // live on the node's gate shard.
+  // neighbor's.
   for (int n = 0; n < cfg.nodes; ++n) {
-    nodes_.emplace_back(shard_engine(gate_shard(n)), cfg_);
+    nodes_.emplace_back(shard_engine(n), cfg_);
   }
   for (int i = 0; i < cfg.total_nodelets(); ++i) {
-    nodelets_.emplace_back(shard_engine(shard_of_nodelet(i)), cfg_, i);
+    nodelets_.emplace_back(shard_engine(node_index_of(i)), cfg_, i);
   }
   if (g_machine_observer != nullptr) g_machine_observer->machine_created(*this);
 }
@@ -183,7 +160,7 @@ void Machine::notify_child_done(Context* parent, int child_shard) {
 
 sim::Op<> Context::atomic_fetch_remote(int nlet, std::uint64_t addr) {
   Machine& m = *machine_;
-  const int ds = m.shard_of_nodelet(nlet);
+  const int ds = m.node_index_of(nlet);
   if (ds == shard_) {
     Nodelet& n = m.nodelet(nlet);
     ++n.stats.atomics_in;
@@ -198,12 +175,10 @@ sim::Op<> Context::atomic_fetch_remote(int nlet, std::uint64_t addr) {
     co_await engine().sleep(hop);
     co_return;
   }
-  // Off-shard target: request and response each pay the transit latency of
-  // the boundary they cross (the intra-node hop between sibling nodelet
-  // shards — matching the same-shard path's fabric approximation exactly —
-  // or the inter-node latency) and the RMW (stats, trace, channel
-  // occupancy) executes on the owning shard at delivery; the issuing
-  // thread stays put and blocks for the round trip.
+  // Off-shard target: request and response each pay the inter-node latency
+  // and the RMW (stats, trace, channel occupancy) executes on the owning
+  // shard at delivery; the issuing thread stays put and blocks for the
+  // round trip.
   struct FetchAwaiter {
     Context& ctx;
     int nlet;
@@ -250,20 +225,15 @@ sim::Op<> Context::migrate_to(int dest) {
   ++m.shard_stats(shard_).migrations;
   m.record_trace(shard_, t0, sim::TraceKind::migrate_out, src, dest, 0, tid_);
 
-  // Same-node migrations ride the gate straight to the destination
-  // nodelet's shard; cross-node ones resume on the gate shard, which owns
-  // the egress link they queue on next.
-  co_await gate_pass(src_node, src_node != dst_node
-                                   ? m.gate_shard(src_node)
-                                   : m.shard_of_nodelet(dest));
+  co_await m.node(src_node).migration_engine().pass();
   if (src_node != dst_node) {
     ++m.shard_stats(shard_).internode_migrations;
     const Time wire =
         transfer_time(static_cast<double>(m.cfg().thread_context_bytes),
                       m.cfg().internode_bytes_per_sec);
     co_await m.node(src_node).link().access(wire);
-    co_await fabric_hop(m.gate_shard(dst_node), m.cfg().internode_latency);
-    co_await gate_pass(dst_node, m.shard_of_nodelet(dest));
+    co_await fabric_hop(dst_node, m.cfg().internode_latency);
+    co_await m.node(dst_node).migration_engine().pass();
   }
   co_await m.nodelet(dest).slots().acquire();
   arrive(dest);

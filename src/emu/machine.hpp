@@ -173,27 +173,13 @@ MachineObserver* machine_observer();
 
 /// Thread-local intra-point engine parallelism: how many worker threads a
 /// Machine constructed on this thread uses to run its shard engines (one
-/// shard per node by default; clamped to the shard count, so single-node
-/// machines are serial unless nodelet sharding is on).  Like the observer
-/// hook, this is thread-local so the sweep runner can compose `--jobs`
-/// (across points) with `--engine-threads` (within a point) per worker.
+/// shard per node card; clamped to the shard count, so single-node
+/// machines are serial).  Like the observer hook, this is thread-local so
+/// the sweep runner can compose `--jobs` (across points) with
+/// `--engine-threads` (within a point) per worker.
 /// Returns the previous value.
 int set_engine_threads(int n);
 int engine_threads();
-
-/// Engine shard granularity (see sim/shard.hpp).  `node` is the default:
-/// one event-queue shard per node card, single-level windows with the
-/// inter-node lookahead.  `nodelet` shards per nodelet, grouped by node
-/// card under two-level windows (intra-node hop lookahead inside a node,
-/// inter-node lookahead across nodes), so --engine-threads can scale to
-/// the nodelet count instead of the node count.  Under either mode the
-/// thread count never changes simulation results; the two modes are
-/// distinct (equally valid) machine models, differing only in where
-/// intra-node cross-nodelet deliveries pay the crossbar hop.  Thread-local
-/// like set_engine_threads, captured at Machine construction.
-enum class EngineShard { node, nodelet };
-EngineShard set_engine_shard(EngineShard mode);
-EngineShard engine_shard();
 
 /// Per-thread run telemetry, accumulated as machines are destroyed: the
 /// engine-speed and memory-footprint numbers the bench harness attaches to
@@ -247,34 +233,14 @@ class Machine {
   Node& node(int i) { return nodes_[static_cast<std::size_t>(i)]; }
   Node& node_of_nodelet(int nlet) { return node(node_index_of(nlet)); }
 
-  // --- sharding (per node, or per nodelet under --engine-shard=nodelet;
-  // see sim/shard.hpp) ----------------------------------------------------
+  // --- sharding: one event-queue shard per node card (see sim/shard.hpp),
+  // indexed by node_index_of() ---------------------------------------------
 
   int num_shards() const { return static_cast<int>(set_.shards()); }
-  /// Engine shards per node card: 1 (node mode) or nodelets_per_node
-  /// (nodelet mode).
-  int shards_per_node() const { return shards_per_node_; }
-  /// The shard that owns a nodelet's state (its engine, channel, slots,
-  /// stats): the nodelet's node in node mode, the nodelet itself in nodelet
-  /// mode.
-  int shard_of_nodelet(int nlet) const {
-    return shards_per_node_ > 1 ? nlet : node_index_of(nlet);
-  }
-  /// The shard that owns a *node's* shared resources (migration engine,
-  /// egress link): the node's first shard.  Equals the node index in node
-  /// mode.
-  int gate_shard(int node) const { return node * shards_per_node_; }
-  int node_of_shard(int s) const { return s / shards_per_node_; }
-  /// Minimum latency a cross-shard post from `src_shard` to `dst_shard`
-  /// must pay: zero same-shard, the intra-node crossbar hop within a node,
-  /// the inter-node latency across nodes.  These are exactly the two
-  /// window lookaheads of the hierarchical engine, so any post paying
-  /// post_delay is lookahead-safe.
+  /// Minimum latency a post from `src_shard` to `dst_shard` must pay: zero
+  /// same-shard, the inter-node latency (the window lookahead) otherwise.
   Time post_delay(int src_shard, int dst_shard) const {
-    if (src_shard == dst_shard) return 0;
-    return node_of_shard(src_shard) == node_of_shard(dst_shard)
-               ? cfg_.intranode_hop()
-               : cfg_.internode_latency;
+    return src_shard == dst_shard ? 0 : cfg_.internode_latency;
   }
   sim::Engine& shard_engine(int s) {
     return set_.shard(static_cast<std::size_t>(s));
@@ -289,7 +255,7 @@ class Machine {
 
   /// Post a cross-shard delivery (applied remote write/atomic, sync
   /// protocol message) into the windowed mailboxes; `when` must pay at
-  /// least post_delay(src, dst) (= the level's window lookahead).
+  /// least post_delay(src, dst) (= the window lookahead).
   void post_remote(int src_shard, int dst_shard, Time when, sim::SmallFn fn) {
     set_.post_call(static_cast<std::size_t>(src_shard),
                    static_cast<std::size_t>(dst_shard), when, std::move(fn));
@@ -380,7 +346,6 @@ class Machine {
   void merge_trace_window();
 
   SystemConfig cfg_;
-  int shards_per_node_;  ///< captured from engine_shard() at construction
   sim::EngineSet set_;
   std::shared_ptr<HostFootprint> host_footprint_ =
       std::make_shared<HostFootprint>();
@@ -401,8 +366,8 @@ class Context {
           bool has_slot)
       : machine_(&m),
         parent_(parent),
-        shard_(m.shard_of_nodelet(via_fabric ? src : birth)),
-        home_shard_(m.shard_of_nodelet(birth)),
+        shard_(m.node_index_of(via_fabric ? src : birth)),
+        home_shard_(m.node_index_of(birth)),
         tid_(m.alloc_thread_id(shard_)),
         birth_nodelet_(birth),
         src_nodelet_(src),
@@ -411,7 +376,9 @@ class Context {
 
   Machine& machine() { return *machine_; }
   /// The engine of the shard this thread currently executes on.
-  sim::Engine& engine() { return machine_->shard_engine(shard_); }
+  sim::Engine& engine() {
+    return machine_->engines().shard(static_cast<std::size_t>(shard_));
+  }
   const SystemConfig& cfg() const { return machine_->cfg(); }
   int nodelet() const { return nodelet_; }
   int shard() const { return shard_; }
@@ -476,12 +443,10 @@ class Context {
   /// Memory-side remote write: the value travels to the remote nodelet's
   /// memory-side processor; the thread does not migrate and does not wait.
   /// Same-shard targets are applied immediately (the old direct path); a
-  /// packet leaving the shard pays the transit latency of the boundary it
-  /// crosses — the intra-node crossbar hop or the inter-node link — and is
-  /// applied by the owning shard on arrival, so no shard ever touches
-  /// another's state.
+  /// packet leaving the shard pays the inter-node latency and is applied by
+  /// the owning shard on arrival, so no shard ever touches another's state.
   void write_remote(int nlet, std::uint64_t addr, std::uint32_t bytes) {
-    const int ds = machine_->shard_of_nodelet(nlet);
+    const int ds = machine_->node_index_of(nlet);
     if (ds == shard_) {
       Nodelet& n = machine_->nodelet(nlet);
       ++n.stats.writes;
@@ -502,7 +467,7 @@ class Context {
           ++n.stats.writes;
           ++n.stats.remote_writes_in;
           n.stats.write_bytes += bytes;
-          const int s = m->shard_of_nodelet(nlet);
+          const int s = m->node_index_of(nlet);
           m->record_trace(s, m->shard_engine(s).now(),
                           sim::TraceKind::mem_write, nlet, from, bytes, t);
           n.channel().write(addr, bytes);
@@ -525,7 +490,7 @@ class Context {
   /// the owning shard's thread under the sharded engine.
   template <class Apply>
   void atomic_remote(int nlet, std::uint64_t addr, Apply apply) {
-    const int ds = machine_->shard_of_nodelet(nlet);
+    const int ds = machine_->node_index_of(nlet);
     if (ds == shard_) {
       apply();
       Nodelet& n = machine_->nodelet(nlet);
@@ -547,7 +512,7 @@ class Context {
           apply();
           Nodelet& n = m->nodelet(nlet);
           ++n.stats.atomics_in;
-          const int s = m->shard_of_nodelet(nlet);
+          const int s = m->node_index_of(nlet);
           m->record_trace(s, m->shard_engine(s).now(),
                           sim::TraceKind::remote_atomic, nlet, from, 0, t);
           n.channel().write(addr, 8);
@@ -675,61 +640,9 @@ class Context {
     return Awaiter{*this, dest_shard, latency};
   }
 
-  /// Awaitable: queue on `node`'s migration engine and resume on shard
-  /// `resume_shard` one pipeline latency after the gate grants departure.
-  /// The gate lives on the node's gate shard; when the requester executes
-  /// on a sibling nodelet shard (nodelet sharding), the request crosses
-  /// the intra-node fabric to reach it — a transit that *overlaps* the
-  /// gate's queueing (the gate serves the request from its issue time, see
-  /// FifoServer::post_at), so an uncontended pass times exactly like the
-  /// one-shard-per-node model.  `shard_` is retargeted to `resume_shard`
-  /// at suspension so everything after the pass charges the right shard.
-  /// In node mode requester == owner == resume and this is byte-identical
-  /// to RateGate::pass().
-  auto gate_pass(int node, int resume_shard) {
-    struct Awaiter {
-      Context& ctx;
-      int node;
-      int resume;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) {
-        Machine* m = ctx.machine_;
-        const int src = ctx.shard_;
-        const int owner = m->gate_shard(node);
-        const Time t0 = ctx.engine().now();
-        ctx.shard_ = resume;
-        const int res = resume;
-        const int nd = node;
-        if (src == owner) {
-          sim::RateGate& gate = m->node(nd).migration_engine();
-          const Time when = gate.depart_at(t0) + gate.latency();
-          if (res == owner) {
-            m->shard_engine(owner).schedule(when, h);
-          } else {
-            m->post_wake(owner, res, when, h);
-          }
-          return;
-        }
-        m->post_remote(
-            src, owner, t0 + m->cfg().intranode_hop(),
-            sim::SmallFn([m, nd, t0, res, owner, h] {
-              sim::RateGate& gate = m->node(nd).migration_engine();
-              const Time when = gate.depart_at(t0) + gate.latency();
-              if (res == owner) {
-                m->shard_engine(owner).schedule(when, h);
-              } else {
-                m->post_wake(owner, res, when, h);
-              }
-            }));
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, node, resume_shard};
-  }
-
   void arrive(int nlet) {
     nodelet_ = nlet;
-    shard_ = machine_->shard_of_nodelet(nlet);
+    shard_ = machine_->node_index_of(nlet);
     Nodelet& n = machine_->nodelet(nlet);
     core_ = n.assign_core();
     ++n.stats.thread_arrivals;
@@ -791,21 +704,14 @@ sim::Task thread_main(Machine* m, std::unique_ptr<Context> ctx, F body) {
   if (c.via_fabric_) {
     const int src_node = m->node_index_of(c.src_nodelet_);
     const int dst_node = m->node_index_of(c.birth_nodelet_);
-    const int birth_shard = m->shard_of_nodelet(c.birth_nodelet_);
-    // A same-node spawn packet rides straight from the gate to the birth
-    // nodelet's shard; a cross-node one resumes on the gate shard, which
-    // owns the egress link it queues on next.
-    co_await c.gate_pass(src_node, src_node != dst_node
-                                       ? m->gate_shard(src_node)
-                                       : birth_shard);
+    co_await m->node(src_node).migration_engine().pass();
     if (src_node != dst_node) {
       const Time wire = transfer_time(
           static_cast<double>(m->cfg().thread_context_bytes),
           m->cfg().internode_bytes_per_sec);
       co_await m->node(src_node).link().access(wire);
-      co_await c.fabric_hop(m->gate_shard(dst_node),
-                            m->cfg().internode_latency);
-      co_await c.gate_pass(dst_node, birth_shard);
+      co_await c.fabric_hop(dst_node, m->cfg().internode_latency);
+      co_await m->node(dst_node).migration_engine().pass();
     }
   }
   if (!c.has_slot_at_birth_) {
@@ -837,7 +743,7 @@ bool Machine::try_start_local_thread(int birth, Context* parent,
   // A local spawn is always issued by the parent on the birth nodelet's
   // shard: every touch below (slots, stats, trace, the child's first steps)
   // is shard-local.
-  const int cs = shard_of_nodelet(birth);
+  const int cs = node_index_of(birth);
   ++shard_stats(cs).spawns;
   if (parent) ++parent->spawned_;
   auto ctx = std::make_unique<Context>(*this, parent, birth,
@@ -855,7 +761,7 @@ void Machine::start_fabric_thread(int birth, int src, Context* parent, F body,
                                   bool via_fabric) {
   // The spawn packet is issued where the parent currently executes: the
   // shard of `src` (nodelet 0 / shard 0 for the root).
-  const int cs = shard_of_nodelet(src);
+  const int cs = node_index_of(src);
   ++shard_stats(cs).spawns;
   if (via_fabric) ++shard_stats(cs).remote_spawns;
   if (parent) ++parent->spawned_;

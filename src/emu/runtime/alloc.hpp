@@ -55,7 +55,7 @@ namespace detail {
 /// Chunk sizes are fixed at construction; storage appears on first touch
 /// (zero-initialized, matching the old dense mirror's semantics) and is
 /// charged to the machine's HostFootprint.  chunk() is safe to race from
-/// any engine shard: the loser of the install CAS frees its copy, and an
+/// any event-queue shard: the loser of the install CAS frees its copy, and an
 /// installed chunk's address never changes.
 template <class T>
 class LazyChunks {

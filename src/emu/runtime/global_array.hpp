@@ -14,7 +14,6 @@
 // requires them) and functionally correct.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -97,14 +96,10 @@ class GlobalArray {
         });
     if (machine_->num_shards() > 1) {
       // Remote-atomic deliveries posted by the last finishing counter can
-      // still be in flight (they land up to one fabric transit — the
-      // inter-node latency, or the intra-node hop between sibling nodelet
-      // shards — after the post).  Two transits ahead of the join point is
-      // provably past the last delivery's window, so reading and freeing
-      // `bins` is safe.
-      co_await ctx.engine().sleep(
-          2 * std::max(machine_->cfg().internode_latency,
-                       machine_->cfg().intranode_hop()));
+      // still be in flight (they land one inter-node latency after the
+      // post).  Two transits ahead of the join point is provably past the
+      // last delivery's window, so reading and freeing `bins` is safe.
+      co_await ctx.engine().sleep(2 * machine_->cfg().internode_latency);
     }
     std::vector<std::uint64_t> out(buckets);
     for (std::size_t b = 0; b < buckets; ++b) out[b] = bins[b];

@@ -13,7 +13,7 @@
 //            home nodelet: it scans the list there, CAS-appends the new
 //            half-edge, then migrates to the destination's home for the
 //            mirror half.  All mutation happens on the owning nodelet's
-//            engine shard, so insertion is lock-free on the host side and
+//            event-queue shard, so insertion is lock-free on the host side and
 //            deterministic under --engine-threads (the serve_emu pattern).
 //   xeon:: — a worker pool drains each batch, taking per-vertex-stripe
 //            writer latches (lowest stripe first, so two-latch inserts
@@ -125,7 +125,7 @@ class StreamGraph {
  private:
   int nodelets_;
   std::vector<std::vector<std::uint32_t>> adj_;
-  /// Each adjacency list is mutated only by the engine shard owning its
+  /// Each adjacency list is mutated only by the event-queue shard owning its
   /// home nodelet, but this total crosses shards — the one atomic.
   std::atomic<std::uint64_t> half_edges_{0};
 };

@@ -99,7 +99,7 @@ Op<> relax_vertex(Context& ctx, BfsState* st, std::uint32_t u,
     // concurrently in the same window (nondeterministic under
     // --engine-threads).  An off-shard v migrates and re-checks
     // authoritatively below, exactly as before.
-    if (ctx.shard() == ctx.machine().shard_of_nodelet(home_v) &&
+    if (ctx.shard() == ctx.machine().node_index_of(home_v) &&
         st->dist_host[v] != kBfsUnreached) {
       continue;
     }

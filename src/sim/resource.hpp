@@ -48,17 +48,10 @@ class FifoServer {
   /// Account for a request without suspending anyone (posted/fire-and-forget
   /// operations, e.g. stores that are not on the critical path).  Returns
   /// the departure time.
-  Time post(Time service) { return post_at(eng_->now(), service); }
-
-  /// Like post(), but the request was issued at `ready`, which may lie
-  /// before now(): a request that traveled to reach the server (e.g. a
-  /// migration-gate request crossing the intra-node fabric under the
-  /// per-nodelet sharded engine) still queues from its issue time, so the
-  /// transit overlaps queueing and an uncontended server departs it exactly
-  /// as if it had been posted locally at `ready`.
-  Time post_at(Time ready, Time service) {
+  Time post(Time service) {
     EMUSIM_CHECK(service >= 0);
-    const Time start = next_free_ > ready ? next_free_ : ready;
+    const Time now = eng_->now();
+    const Time start = next_free_ > now ? next_free_ : now;
     next_free_ = start + service;
     busy_ += service;
     ++requests_;
@@ -104,15 +97,7 @@ class RateGate {
     return Awaiter{*this};
   }
 
-  /// Claim the next slot for a request issued at `ready` (<= now allowed;
-  /// see FifoServer::post_at) and return its departure time.  The caller
-  /// schedules the resumption at depart + latency() itself — used by the
-  /// machine's gate-pass path, where the resumption may land on another
-  /// engine shard.
-  Time depart_at(Time ready) { return server_.post_at(ready, interval_); }
-
   Time interval() const { return interval_; }
-  Time latency() const { return latency_; }
   std::uint64_t items() const { return server_.requests(); }
   Time busy_time() const { return server_.busy_time(); }
 

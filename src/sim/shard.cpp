@@ -14,37 +14,21 @@ EngineSet::EngineSet(std::size_t shards)
 
 EngineSet::~EngineSet() { stop_pool(); }
 
-void EngineSet::set_hierarchy(std::size_t group_size, Time inner_lookahead) {
-  const std::size_t S = engines_.size();
-  EMUSIM_CHECK(group_size >= 1);
-  EMUSIM_CHECK(S % group_size == 0);
-  if (group_size > 1) EMUSIM_CHECK(inner_lookahead > 0);
-  group_size_ = group_size;
-  inner_lookahead_ = group_size > 1 ? inner_lookahead : 0;
-  group_state_.assign(S / group_size, GroupState{});
-  layout_dirty_ = true;
-}
-
-void EngineSet::plan_outer() noexcept {
+void EngineSet::plan() noexcept {
   const std::size_t S = engines_.size();
   // Drain mailboxes in canonical order: per destination, gather messages
   // source-major, stable-sort by timestamp (preserving source-major order
   // within a timestamp), inject.  The destination engine assigns seq
   // numbers in this order, which fixes all downstream tie-breaking
   // independent of worker-thread count.  Only touched (src,dst) pairs are
-  // visited, so the drain is O(messages), not O(S^2).  In hierarchical
-  // mode every surviving pair is cross-group: groups drain their internal
-  // pairs at inner windows and exit with them empty.
-  outer_touched_.clear();
+  // visited, so the drain is O(messages), not O(S^2).
+  touched_dsts_.clear();
   for (std::size_t src = 0; src < S; ++src) {
     auto& tl = touched_[src];
     for (const std::size_t dst : tl) {
       auto& box = outbox(src, dst);
-      if (group_size_ > 1) {
-        EMUSIM_CHECK(src / group_size_ != dst / group_size_);
-      }
       auto& stage = staging_[dst];
-      if (stage.empty()) outer_touched_.push_back(dst);
+      if (stage.empty()) touched_dsts_.push_back(dst);
       for (auto& m : box) {
         // Lookahead violation guard: anything posted during the window
         // that just ran must land at or beyond its end.
@@ -55,7 +39,7 @@ void EngineSet::plan_outer() noexcept {
     }
     tl.clear();
   }
-  for (const std::size_t dst : outer_touched_) {
+  for (const std::size_t dst : touched_dsts_) {
     auto& stage = staging_[dst];
     std::stable_sort(stage.begin(), stage.end(),
                      [](const Msg& a, const Msg& b) { return a.when < b.when; });
@@ -87,155 +71,32 @@ void EngineSet::plan_outer() noexcept {
   }
   EMUSIM_CHECK(t_min + lookahead_ > end_);  // windows advance monotonically
   end_ = t_min + lookahead_;
-  ++outer_windows_;
-  if (group_size_ > 1) {
-    for (GroupState& gs : group_state_) gs.done = false;
-  }
-}
-
-void EngineSet::plan_inner(std::size_t g) noexcept {
-  GroupState& gs = group_state_[g];
-  const std::size_t base = g * group_size_;
-  const std::size_t limit = base + group_size_;
-  // Drain this group's intra-group mailboxes (same canonical order as the
-  // outer drain: per dst, source-major gather, stable sort by timestamp).
-  // Cross-group pairs are kept on the touched lists for plan_outer.
-  gs.touched_dsts.clear();
-  for (std::size_t src = base; src < limit; ++src) {
-    auto& tl = touched_[src];
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < tl.size(); ++i) {
-      const std::size_t dst = tl[i];
-      if (dst < base || dst >= limit) {
-        tl[keep++] = dst;
-        continue;
-      }
-      auto& box = outbox(src, dst);
-      auto& stage = staging_[dst];
-      if (stage.empty()) gs.touched_dsts.push_back(dst);
-      for (auto& m : box) {
-        // Intra-group lookahead guard against the inner window that ran.
-        EMUSIM_CHECK(m.when >= gs.inner_end);
-        stage.push_back(std::move(m));
-      }
-      box.clear();
-    }
-    tl.resize(keep);
-  }
-  for (const std::size_t dst : gs.touched_dsts) {
-    auto& stage = staging_[dst];
-    std::stable_sort(stage.begin(), stage.end(),
-                     [](const Msg& a, const Msg& b) { return a.when < b.when; });
-    Engine& e = engines_[dst];
-    for (auto& m : stage) {
-      if (m.h) {
-        e.inject(m.when, m.h);
-      } else {
-        e.inject_call(m.when, std::move(m.fn));
-      }
-    }
-    stage.clear();
-  }
-  // Next inner window opens at the group's earliest pending event (gap
-  // fast-forward), clamped to the outer window end.  Events at or beyond
-  // the outer end belong to a later outer window.
-  bool any = false;
-  Time t_min = 0;
-  for (std::size_t s = base; s < limit; ++s) {
-    const Engine& e = engines_[s];
-    if (e.idle()) continue;
-    const Time t = e.next_when();
-    if (!any || t < t_min) t_min = t;
-    any = true;
-  }
-  if (!any || t_min >= end_) {
-    gs.done = true;
-    return;
-  }
-  gs.inner_end = std::min(t_min + inner_lookahead_, end_);
-  ++gs.windows;
-}
-
-void EngineSet::run_group_serial(std::size_t g) {
-  GroupState& gs = group_state_[g];
-  const std::size_t base = g * group_size_;
-  for (;;) {
-    plan_inner(g);
-    if (gs.done) return;
-    for (std::size_t i = 0; i < group_size_; ++i) {
-      engines_[base + i].run_window(gs.inner_end);
-    }
-  }
-}
-
-void EngineSet::run_group_team(std::size_t g, std::size_t rank) {
-  GroupState& gs = group_state_[g];
-  const std::size_t base = g * group_size_;
-  const std::size_t step = team_size_[g];
-  auto& bar = *inner_bars_[g];
-  for (;;) {
-    bar.arrive_and_wait();  // completion step runs plan_inner(g)
-    if (gs.done) return;
-    for (std::size_t i = rank; i < group_size_; i += step) {
-      engines_[base + i].run_window(gs.inner_end);
-    }
-  }
+  ++windows_;
 }
 
 void EngineSet::worker_loop(std::size_t w) {
   const std::size_t S = engines_.size();
-  const std::size_t G = groups();
   const std::size_t T = static_cast<std::size_t>(pool_T_);
   for (;;) {
-    outer_bar_->arrive_and_wait();  // completion step runs plan_outer()
+    bar_->arrive_and_wait();  // completion step runs plan()
     if (done_) return;
-    if (group_size_ == 1) {
-      for (std::size_t s = w; s < S; s += T) engines_[s].run_window(end_);
-    } else if (T <= G) {
-      // Whole groups per worker: inner loops run serially, no inner
-      // barrier needed.
-      for (std::size_t g = w; g < G; g += T) run_group_serial(g);
-    } else {
-      // Workers team up on groups (w mod G); teams of one skip the
-      // barrier.
-      const std::size_t g = w % G;
-      if (team_size_[g] == 1) {
-        run_group_serial(g);
-      } else {
-        run_group_team(g, w / G);
-      }
-    }
+    for (std::size_t s = w; s < S; s += T) engines_[s].run_window(end_);
   }
 }
 
 void EngineSet::ensure_pool(int T) {
-  if (pool_T_ == T && !layout_dirty_) return;
+  if (pool_T_ == T) return;
   stop_pool();
   pool_T_ = T;
-  layout_dirty_ = false;
-  const std::size_t G = groups();
-  const std::size_t UT = static_cast<std::size_t>(T);
-  team_size_.assign(G, 1);
-  inner_bars_.clear();
-  if (group_size_ > 1 && UT > G) {
-    for (std::size_t g = 0; g < G; ++g) {
-      team_size_[g] = UT / G + (g < UT % G ? 1 : 0);
-    }
-    for (std::size_t g = 0; g < G; ++g) {
-      inner_bars_.emplace_back();
-      if (team_size_[g] > 1) {
-        inner_bars_[g].emplace(static_cast<std::ptrdiff_t>(team_size_[g]),
-                               InnerPlan{this, g});
-      }
-    }
-  }
-  outer_bar_ = std::make_unique<std::barrier<OuterPlan>>(T, OuterPlan{this});
+  bar_ = std::make_unique<std::barrier<Plan>>(T, Plan{this});
   // Workers park between runs and wake per epoch; worker 0 is the run()
-  // caller and is not pooled.
+  // caller and is not pooled.  Each thread starts from the epoch current
+  // at its creation: a thread that reached mu_ before run() bumps the
+  // epoch would otherwise take the previous run's epoch as new, run it a
+  // second time, and wait alone on the barrier forever.
   pool_.reserve(static_cast<std::size_t>(T - 1));
   for (int w = 1; w < T; ++w) {
-    pool_.emplace_back([this, w] {
-      std::uint64_t seen = 0;
+    pool_.emplace_back([this, w, seen = epoch_]() mutable {
       for (;;) {
         {
           std::unique_lock lock(mu_);
@@ -255,25 +116,20 @@ void EngineSet::ensure_pool(int T) {
 }
 
 void EngineSet::stop_pool() {
-  if (pool_.empty()) {
-    pool_T_ = 0;
-    outer_bar_.reset();
-    inner_bars_.clear();
-    return;
-  }
-  {
-    std::lock_guard lock(mu_);
-    shutdown_ = true;
-  }
-  cv_start_.notify_all();
-  pool_.clear();  // jthread joins
-  {
-    std::lock_guard lock(mu_);
-    shutdown_ = false;
+  if (!pool_.empty()) {
+    {
+      std::lock_guard lock(mu_);
+      shutdown_ = true;
+    }
+    cv_start_.notify_all();
+    pool_.clear();  // jthread joins
+    {
+      std::lock_guard lock(mu_);
+      shutdown_ = false;
+    }
   }
   pool_T_ = 0;
-  outer_bar_.reset();
-  inner_bars_.clear();
+  bar_.reset();
 }
 
 Time EngineSet::run(Time lookahead, int threads) {
@@ -283,40 +139,24 @@ Time EngineSet::run(Time lookahead, int threads) {
     return engines_[0].run();
   }
   EMUSIM_CHECK(lookahead > 0);
-  if (group_size_ > 1) EMUSIM_CHECK(inner_lookahead_ <= lookahead);
   lookahead_ = lookahead;
   end_ = 0;
   done_ = false;
-  outer_windows_ = 0;
-  inner_windows_ = 0;
-  for (GroupState& gs : group_state_) {
-    gs.done = false;
-    gs.inner_end = 0;
-    gs.windows = 0;
-  }
-  const std::size_t G = groups();
+  windows_ = 0;
   int T = threads;
   if (T < 1) T = 1;
   if (T > static_cast<int>(S)) T = static_cast<int>(S);
   if (T == 1) {
-    if (group_size_ == 1) {
-      for (;;) {
-        plan_outer();
-        if (done_) break;
-        for (Engine& e : engines_) e.run_window(end_);
-      }
-    } else {
-      for (;;) {
-        plan_outer();
-        if (done_) break;
-        for (std::size_t g = 0; g < G; ++g) run_group_serial(g);
-      }
+    for (;;) {
+      plan();
+      if (done_) break;
+      for (Engine& e : engines_) e.run_window(end_);
     }
   } else {
-    // T workers (this thread is worker 0) separated by one outer barrier
-    // per window; the barrier's completion step runs plan_outer() on
-    // exactly one thread, synchronized-with every worker.  Pool threads
-    // persist across run() calls with a stable thread->shard assignment.
+    // T workers (this thread is worker 0) separated by one barrier per
+    // window; the barrier's completion step runs plan() on exactly one
+    // thread, synchronized-with every worker.  Pool threads persist across
+    // run() calls with a stable thread->shard assignment.
     ensure_pool(T);
     {
       std::lock_guard lock(mu_);
@@ -327,9 +167,6 @@ Time EngineSet::run(Time lookahead, int threads) {
     worker_loop(0);
     std::unique_lock lock(mu_);
     cv_done_.wait(lock, [&] { return done_count_ == T - 1; });
-  }
-  if (group_size_ > 1) {
-    for (const GroupState& gs : group_state_) inner_windows_ += gs.windows;
   }
   // Bring every shard to the one global final time, so post-run now()
   // reads (counters, observers) are shard-independent.
@@ -343,13 +180,11 @@ void EngineSet::reset() {
   for (auto& box : outboxes_) box.clear();
   for (auto& tl : touched_) tl.clear();
   for (auto& stage : staging_) stage.clear();
-  outer_touched_.clear();
-  for (GroupState& gs : group_state_) gs = GroupState{};
+  touched_dsts_.clear();
   for (Engine& e : engines_) e.reset();
   end_ = 0;
   done_ = false;
-  outer_windows_ = 0;
-  inner_windows_ = 0;
+  windows_ = 0;
 }
 
 }  // namespace emusim::sim

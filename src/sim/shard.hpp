@@ -1,54 +1,42 @@
 // EngineSet: conservative windowed parallel DES over sharded Engines.
 //
-// One Engine per shard.  Flat mode (the default, one shard per Emu node
-// card): shards advance together through time windows of width `lookahead`
-// — the minimum latency of any cross-shard interaction, so an event
-// executing inside a window can only schedule onto another shard at or
-// beyond the window end.  Within a window every shard processes its own
-// queue independently; the cross-shard traffic it generates goes into
-// per-(src,dst) mailboxes, which the window barrier drains into the
-// destination queues before the next window opens.
+// One Engine per shard (one per Emu node card).  Shards advance together
+// through time windows of width `lookahead` — the minimum latency of any
+// cross-shard interaction, so an event executing inside a window can only
+// schedule onto another shard at or beyond the window end.  Within a window
+// every shard processes its own queue independently; the cross-shard
+// traffic it generates goes into per-(src,dst) mailboxes, which the window
+// barrier drains into the destination queues before the next window opens.
 //
-// Hierarchical mode (set_hierarchy(), one shard per *nodelet* grouped by
-// node card): two levels of conservative windows.  The outer level is the
-// flat scheme across node-card groups with the inter-node lookahead; inside
-// each outer window, the shards of one group run their own sequence of
-// *inner* windows whose lookahead is the (much smaller) intra-node hop
-// latency.  Cross-shard traffic within a group is drained at each inner
-// step; traffic between groups waits for the outer barrier.  Groups are
-// mutually independent inside an outer window, so their inner loops run
-// concurrently without synchronizing with each other.
-//
-// Adaptive window planning: both levels fast-forward over event-free gaps —
-// a window always opens at the earliest pending event (global for the outer
-// level, group-local for the inner level, clamped to the outer window end)
-// rather than marching fixed-width windows.  Mailbox drains are batched per
+// Adaptive window planning: a window always opens at the earliest pending
+// event across all shards rather than marching fixed-width windows, so
+// event-free gaps are skipped in one hop.  Mailbox drains are batched per
 // destination via per-source touched lists, so a drain costs O(messages),
 // not O(shards^2).
 //
-// Determinism contract: the shard count, the group structure, and the shard
-// of every event are functions of the machine configuration alone, never of
-// the worker-thread count.  Threads only decide *which OS thread* executes
-// a shard's window, so `threads = 1` and `threads = N` produce
-// byte-identical simulations.  Three pieces make that hold:
+// Determinism contract: the shard count and the shard of every event are
+// functions of the machine configuration alone, never of the worker-thread
+// count.  Threads only decide *which OS thread* executes a shard's window,
+// so `threads = 1` and `threads = N` produce byte-identical simulations.
+// Three pieces make that hold:
 //   * per-shard seq counters — intra-shard tie order is the serial engine's
 //     insertion order, untouched by parallelism;
 //   * a canonical mailbox drain order — for each destination, messages are
 //     gathered source-major, stable-sorted by timestamp, and injected in
 //     that order, so the destination's seq assignment (and therefore all
 //     downstream tie-breaking) is reproducible;
-//   * single-threaded planning — every drain/plan step (outer or inner)
-//     runs on exactly one thread at a barrier completion, so the window
-//     sequence of each level is a pure function of simulation state.
+//   * single-threaded planning — every drain/plan step runs on exactly one
+//     thread at a barrier completion, so the window sequence is a pure
+//     function of simulation state.
 //
-// The outer window barrier also runs a caller-installed hook (the Emu
-// machine merges per-shard trace staging there) on exactly one thread,
+// The window barrier also runs a caller-installed hook (the Emu machine
+// merges per-shard trace staging there) on exactly one thread,
 // synchronized-with all workers.
 //
-// Worker threads are spawned once per (thread count, hierarchy layout) and
-// parked between run() invocations, so a sweep point that calls run()
-// repeatedly (e.g. per-batch serving loops) reuses the same pool with the
-// same thread->shard assignment instead of paying spawn/join per run.
+// Worker threads are spawned once per thread count and parked between
+// run() invocations, so a sweep point that calls run() repeatedly (e.g.
+// per-batch serving loops) reuses the same pool with the same
+// thread->shard assignment instead of paying spawn/join per run.
 #pragma once
 
 #include <barrier>
@@ -59,7 +47,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -81,22 +68,9 @@ class EngineSet {
   Engine& shard(std::size_t s) { return engines_[s]; }
   const Engine& shard(std::size_t s) const { return engines_[s]; }
 
-  /// Partition the shards into consecutive groups of `group_size` and run
-  /// them under two-level windows: `inner_lookahead` between the shards of
-  /// one group, run(lookahead) between groups.  `group_size` must divide
-  /// shards(); 1 (the default) is flat single-level windowing.  Cross-shard
-  /// posts within a group must respect `inner_lookahead`; posts between
-  /// groups must respect the outer lookahead.  Call before run().
-  void set_hierarchy(std::size_t group_size, Time inner_lookahead);
-
-  std::size_t group_size() const { return group_size_; }
-  std::size_t groups() const { return engines_.size() / group_size_; }
-  std::size_t group_of(std::size_t shard) const { return shard / group_size_; }
-
   /// Queue a cross-shard coroutine resumption.  Single-writer discipline:
   /// during a window only shard `src`'s worker may post from `src`.  `when`
-  /// must respect the level's lookahead (>= the end of the posting window,
-  /// inner window for intra-group posts, outer window for cross-group); the
+  /// must respect the lookahead (>= the end of the posting window); the
   /// drain checks it.
   void post(std::size_t src, std::size_t dst, Time when,
             std::coroutine_handle<> h) {
@@ -112,28 +86,25 @@ class EngineSet {
     box.push_back(Msg{when, {}, std::move(fn)});
   }
 
-  /// Install a hook run on one thread at every outer window barrier, after
-  /// the mailbox drain (and once before the first window).  The Emu machine
+  /// Install a hook run on one thread at every window barrier, after the
+  /// mailbox drain (and once before the first window).  The Emu machine
   /// merges per-shard trace staging here.  Invoked repeatedly; must be
   /// reentrant across windows but is never run concurrently with shard
   /// execution.
   void set_window_hook(SmallFn hook) { window_hook_ = std::move(hook); }
 
-  /// Run all shards to completion under (outer) windows of width
-  /// `lookahead`, using up to `threads` workers (clamped to [1, shards()]).
-  /// A single shard degenerates to the serial Engine::run() — exactly the
-  /// old engine, no windowing.  On return every shard's clock reads the
-  /// same global final time.
+  /// Run all shards to completion under windows of width `lookahead`,
+  /// using up to `threads` workers (clamped to [1, shards()]).  A single
+  /// shard degenerates to the serial Engine::run() — exactly the old
+  /// engine, no windowing.  On return every shard's clock reads the same
+  /// global final time.
   Time run(Time lookahead, int threads);
 
   /// Drop pending cross-shard messages and reset every shard engine.
   void reset();
 
-  /// Outer windows opened by the last run() (0 after an S==1 serial run).
-  std::uint64_t outer_windows() const { return outer_windows_; }
-  /// Inner windows opened across all groups by the last run() (0 in flat
-  /// mode).
-  std::uint64_t inner_windows() const { return inner_windows_; }
+  /// Windows opened by the last run() (0 after an S==1 serial run).
+  std::uint64_t windows() const { return windows_; }
 
  private:
   struct Msg {
@@ -142,53 +113,27 @@ class EngineSet {
     SmallFn fn;                 ///< otherwise: invoke this callback
   };
 
-  /// Per-group inner-window state.  Touched by one team at a time; padded
-  /// so concurrently running groups don't false-share.
-  struct alignas(64) GroupState {
-    std::vector<std::size_t> touched_dsts;  ///< staged dsts, this drain
-    Time inner_end = 0;    ///< current inner window end
-    bool done = false;     ///< group exhausted for this outer window
-    std::uint64_t windows = 0;  ///< inner windows opened, this run
-  };
-
-  /// Barrier completion steps (std::barrier needs a noexcept type).
-  struct OuterPlan {
+  /// Barrier completion step (std::barrier needs a noexcept type).
+  struct Plan {
     EngineSet* set;
-    void operator()() noexcept { set->plan_outer(); }
-  };
-  struct InnerPlan {
-    EngineSet* set;
-    std::size_t g;
-    void operator()() noexcept { set->plan_inner(g); }
+    void operator()() noexcept { set->plan(); }
   };
 
   std::vector<Msg>& outbox(std::size_t src, std::size_t dst) {
     return outboxes_[src * engines_.size() + dst];
   }
 
-  /// The per-outer-window coordination step, run on exactly one thread:
-  /// drain all remaining (cross-group) mailboxes into destination queues in
-  /// canonical order, fire the window hook, then pick the next outer window
-  /// [t_min, t_min + lookahead) — fast-forwarding over any event-free gap —
-  /// or declare the run finished.
-  void plan_outer() noexcept;
+  /// The per-window coordination step, run on exactly one thread: drain
+  /// all mailboxes into destination queues in canonical order, fire the
+  /// window hook, then pick the next window [t_min, t_min + lookahead) —
+  /// fast-forwarding over any event-free gap — or declare the run
+  /// finished.
+  void plan() noexcept;
 
-  /// The per-inner-window step for group `g`, run on exactly one thread of
-  /// the group's team: drain the group's intra-group mailboxes, then pick
-  /// the next inner window [t_min_g, min(t_min_g + inner_lookahead,
-  /// outer_end)) or declare the group done for this outer window.
-  void plan_inner(std::size_t g) noexcept;
-
-  /// Run group `g`'s inner loop with `step` workers, this being `rank`.
-  /// Serial callers use rank 0 / step 1 and invoke plan_inner directly;
-  /// teams coordinate through inner_bars_[g].
-  void run_group_serial(std::size_t g);
-  void run_group_team(std::size_t g, std::size_t rank);
-
-  /// One worker's share of a run: outer-barrier loop until done_.
+  /// One worker's share of a run: barrier loop until done_.
   void worker_loop(std::size_t w);
 
-  /// (Re)build barriers / team layout / parked threads for `T` workers.
+  /// (Re)build the barrier and parked threads for `T` workers.
   void ensure_pool(int T);
   void stop_pool();
 
@@ -196,27 +141,19 @@ class EngineSet {
   std::vector<std::vector<Msg>> outboxes_;  ///< [src * S + dst]
   std::vector<std::vector<std::size_t>> touched_;  ///< per src: dsts with
                                                    ///< non-empty outbox
-  std::vector<std::vector<Msg>> staging_;  ///< per-dst drain staging; groups
-                                           ///< touch disjoint slices
-  std::vector<std::size_t> outer_touched_;  ///< plan_outer staged dsts
+  std::vector<std::vector<Msg>> staging_;  ///< per-dst drain staging
+  std::vector<std::size_t> touched_dsts_;  ///< dsts staged by this drain
   SmallFn window_hook_;
-  Time lookahead_ = 0;        ///< outer lookahead, set per run()
-  Time inner_lookahead_ = 0;  ///< intra-group lookahead (hierarchical mode)
-  std::size_t group_size_ = 1;
-  Time end_ = 0;    ///< current outer window end, published by plan_outer()
+  Time lookahead_ = 0;  ///< set per run()
+  Time end_ = 0;        ///< current window end, published by plan()
   bool done_ = false;
-  std::vector<GroupState> group_state_;
-  std::uint64_t outer_windows_ = 0;
-  std::uint64_t inner_windows_ = 0;
+  std::uint64_t windows_ = 0;
 
   // Persistent worker pool (built lazily on the first parallel run, reused
-  // across run() calls while the thread count and layout stay the same).
+  // across run() calls while the thread count stays the same).
   std::vector<std::jthread> pool_;
-  std::unique_ptr<std::barrier<OuterPlan>> outer_bar_;
-  std::deque<std::optional<std::barrier<InnerPlan>>> inner_bars_;
-  std::vector<std::size_t> team_size_;  ///< per group, when pool_T_ > groups
-  int pool_T_ = 0;        ///< thread count the pool/barriers were built for
-  bool layout_dirty_ = true;  ///< hierarchy changed since pool build
+  std::unique_ptr<std::barrier<Plan>> bar_;
+  int pool_T_ = 0;  ///< thread count the pool/barrier were built for
   std::mutex mu_;
   std::condition_variable cv_start_, cv_done_;
   std::uint64_t epoch_ = 0;  ///< bumped per parallel run to wake the pool

@@ -13,15 +13,22 @@
 namespace emusim {
 namespace {
 
-using EmuConfigFn = emu::SystemConfig (*)();
+// Each parameter carries its config name and prints as that name, so the
+// ctest name of a case is stable across builds (a bare function pointer
+// prints as its load address).
+struct EmuConfigCase {
+  const char* name;
+  emu::SystemConfig (*make)();
+};
+void PrintTo(const EmuConfigCase& c, std::ostream* os) { *os << c.name; }
 
 emu::SystemConfig fullspeed8() { return emu::SystemConfig::fullspeed_multinode(8); }
 emu::SystemConfig fullspeed2() { return emu::SystemConfig::fullspeed_multinode(2); }
 
-class EmuConfigs : public ::testing::TestWithParam<EmuConfigFn> {};
+class EmuConfigs : public ::testing::TestWithParam<EmuConfigCase> {};
 
 TEST_P(EmuConfigs, TopologyIsConsistent) {
-  const auto cfg = GetParam()();
+  const auto cfg = GetParam().make();
   emu::Machine m(cfg);
   EXPECT_EQ(m.num_nodelets(), cfg.nodes * cfg.nodelets_per_node);
   EXPECT_GT(m.cycle(), 0);
@@ -33,7 +40,7 @@ TEST_P(EmuConfigs, TopologyIsConsistent) {
 }
 
 TEST_P(EmuConfigs, StreamRunsAndVerifies) {
-  const auto cfg = GetParam()();
+  const auto cfg = GetParam().make();
   kernels::StreamParams p;
   p.n = 1 << 13;
   p.threads = 64;
@@ -44,7 +51,7 @@ TEST_P(EmuConfigs, StreamRunsAndVerifies) {
 }
 
 TEST_P(EmuConfigs, ChaseRunsAndVerifies) {
-  const auto cfg = GetParam()();
+  const auto cfg = GetParam().make();
   kernels::ChaseEmuParams p;
   p.n = 1 << 12;
   p.block = 8;
@@ -55,10 +62,13 @@ TEST_P(EmuConfigs, ChaseRunsAndVerifies) {
 
 INSTANTIATE_TEST_SUITE_P(
     All, EmuConfigs,
-    ::testing::Values(&emu::SystemConfig::chick_hw,
-                      &emu::SystemConfig::chick_as_simulated,
-                      &emu::SystemConfig::chick_fullspeed, &fullspeed2,
-                      &fullspeed8));
+    ::testing::Values(
+        EmuConfigCase{"chick_hw", &emu::SystemConfig::chick_hw},
+        EmuConfigCase{"chick_as_simulated",
+                      &emu::SystemConfig::chick_as_simulated},
+        EmuConfigCase{"chick_fullspeed", &emu::SystemConfig::chick_fullspeed},
+        EmuConfigCase{"fullspeed2", &fullspeed2},
+        EmuConfigCase{"fullspeed8", &fullspeed8}));
 
 TEST(EmuConfigs2, FasterDesignPointsAreActuallyFaster) {
   kernels::StreamParams p;
@@ -141,12 +151,16 @@ TEST(ScalingFamily, AddressesTheFullspeedTopologyByNodeletCount) {
   }
 }
 
-using XeonConfigFn = xeon::SystemConfig (*)();
+struct XeonConfigCase {
+  const char* name;
+  xeon::SystemConfig (*make)();
+};
+void PrintTo(const XeonConfigCase& c, std::ostream* os) { *os << c.name; }
 
-class XeonConfigs : public ::testing::TestWithParam<XeonConfigFn> {};
+class XeonConfigs : public ::testing::TestWithParam<XeonConfigCase> {};
 
 TEST_P(XeonConfigs, StreamAndChaseRun) {
-  const auto cfg = GetParam()();
+  const auto cfg = GetParam().make();
   kernels::StreamXeonParams sp;
   sp.n = 1 << 15;
   sp.threads = cfg.cores / 2;
@@ -162,9 +176,11 @@ TEST_P(XeonConfigs, StreamAndChaseRun) {
   EXPECT_TRUE(cr.verified);
 }
 
-INSTANTIATE_TEST_SUITE_P(All, XeonConfigs,
-                         ::testing::Values(&xeon::SystemConfig::sandy_bridge,
-                                           &xeon::SystemConfig::haswell));
+INSTANTIATE_TEST_SUITE_P(
+    All, XeonConfigs,
+    ::testing::Values(
+        XeonConfigCase{"sandy_bridge", &xeon::SystemConfig::sandy_bridge},
+        XeonConfigCase{"haswell", &xeon::SystemConfig::haswell}));
 
 TEST(XeonConfigs2, PeakBandwidthsMatchPaperSpecs) {
   EXPECT_NEAR(xeon::SystemConfig::sandy_bridge().peak_bytes_per_sec(),

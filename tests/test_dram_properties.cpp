@@ -23,6 +23,14 @@ struct DramCase {
   std::uint32_t bytes;
 };
 
+// Prints as "<config>-<pattern>-<bytes>B" so the ctest name of a case is
+// stable across builds (the default byte dump includes the config pointer).
+void PrintTo(const DramCase& c, std::ostream* os) {
+  static const char* const kPattern[] = {"sequential", "random", "strided"};
+  *os << c.config << '-' << kPattern[static_cast<int>(c.pattern)] << '-'
+      << c.bytes << 'B';
+}
+
 DramTiming timing_by_name(const char* name) {
   const std::string s = name;
   if (s == "ncdram_chick") return DramTiming::ncdram_chick();

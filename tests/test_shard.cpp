@@ -77,7 +77,7 @@ TEST(EngineSet, ResetDropsPendingCrossShardMessages) {
   EXPECT_EQ(fired, 0);
 }
 
-/// Flat mode fast-forwards over event-free gaps: a chain of posts spaced
+/// The window planner fast-forwards over event-free gaps: a chain of posts spaced
 /// milliseconds apart under a microsecond lookahead opens a handful of
 /// windows, not thousands of empty ones.
 TEST(EngineSet, FlatWindowPlannerFastForwardsEmptyGaps) {
@@ -97,117 +97,19 @@ TEST(EngineSet, FlatWindowPlannerFastForwardsEmptyGaps) {
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
     EXPECT_EQ(t, ms(2));
     // Fixed-width marching would need ~2000 windows to cover 2 ms at 1 us.
-    EXPECT_LE(set.outer_windows(), 5u);
-    return set.outer_windows();
+    EXPECT_LE(set.windows(), 5u);
+    return set.windows();
   };
   const auto serial = run_chain(1);
   EXPECT_EQ(serial, run_chain(3));
 }
 
-/// Hierarchical drains stay canonical: intra-group posts (inner lookahead)
-/// and cross-group posts (outer lookahead) deliver per destination in
-/// stable timestamp order with source-major ties, for any thread count —
-/// including thread counts that split one group across a team.
-std::pair<std::vector<int>, std::pair<std::uint64_t, std::uint64_t>>
-hierarchical_order_run(int threads) {
-  constexpr std::size_t kShards = 4;  // two groups of two
-  const Time inner = ns(100);
-  const Time outer = us(1);
-  sim::EngineSet set(kShards);
-  set.set_hierarchy(2, inner);
-  std::vector<int> order;
-  // Shard 1 posts intra-group to shard 0; shards 2 and 3 post cross-group
-  // to shard 0 at an equal timestamp (source-major tie).  Shard 0's
-  // delivery at +inner then posts cross-group back to shard 3.
-  set.shard(1).call_at(ns(10), [&set, &order] {
-    order.push_back(1);
-    set.post_call(1, 0, ns(10) + ns(100), sim::SmallFn([&set, &order] {
-                    order.push_back(10);
-                    set.post_call(0, 3, ns(110) + us(1),
-                                  sim::SmallFn([&order] { order.push_back(3); }));
-                  }));
-  });
-  // us(3) keeps these deliveries in a later outer window than shard 3's, so
-  // recorded pushes never straddle two shards inside one window (shards of a
-  // window run concurrently under threads > 1).
-  set.shard(2).call_at(ns(10), [&set, &order] {
-    set.post_call(2, 0, us(3), sim::SmallFn([&order] { order.push_back(20); }));
-  });
-  set.shard(3).call_at(ns(10), [&set, &order] {
-    set.post_call(3, 0, us(3), sim::SmallFn([&order] { order.push_back(30); }));
-  });
-  set.run(outer, threads);
-  return {order, {set.outer_windows(), set.inner_windows()}};
-}
-
-TEST(EngineSet, HierarchicalCanonicalDrainOrder) {
-  const auto serial = hierarchical_order_run(1);
-  EXPECT_EQ(serial.first, (std::vector<int>{1, 10, 3, 20, 30}));
-  EXPECT_GT(serial.second.first, 0u);   // outer windows opened
-  EXPECT_GT(serial.second.second, 0u);  // inner windows opened
-  EXPECT_EQ(serial, hierarchical_order_run(2));  // one worker per group
-  EXPECT_EQ(serial, hierarchical_order_run(3));  // uneven teams
-  EXPECT_EQ(serial, hierarchical_order_run(4));  // full team per group
-  EXPECT_EQ(serial, hierarchical_order_run(16));  // clamped
-}
-
-/// Same-timestamp intra-group ties resolve source-major across inner
-/// barriers even when the whole group runs as one team (threads > groups).
-TEST(EngineSet, InnerWindowSameTimestampTieOrder) {
-  auto run_ties = [](int threads) {
-    sim::EngineSet set(4);
-    set.set_hierarchy(4, ns(100));  // one group holding every shard
-    std::vector<int> order;
-    for (std::size_t s = 1; s < 4; ++s) {
-      set.shard(s).call_at(ns(10), [&set, &order, s] {
-        set.post_call(s, 0, ns(10) + ns(100), sim::SmallFn([&order, s] {
-                        order.push_back(static_cast<int>(s));
-                      }));
-      });
-    }
-    set.run(us(1), threads);
-    return order;
-  };
-  const std::vector<int> want = {1, 2, 3};
-  EXPECT_EQ(run_ties(1), want);
-  EXPECT_EQ(run_ties(2), want);
-  EXPECT_EQ(run_ties(4), want);
-}
-
-/// group_size == 1 is flat mode by definition; group_size == shards() is a
-/// single group whose inner windows do all the work.  Both must agree with
-/// plain flat windowing on a cross-shard chain where every post pays the
-/// outer lookahead.
-TEST(EngineSet, HierarchyDegeneracies) {
-  auto run_chain = [](std::size_t group_size, int threads) {
-    sim::EngineSet set(4);
-    if (group_size > 1) set.set_hierarchy(group_size, us(1));
-    std::vector<int> order;
-    set.shard(0).call_at(ns(10), [&set, &order] {
-      order.push_back(0);
-      set.post_call(0, 3, ns(10) + us(1), sim::SmallFn([&set, &order] {
-                      order.push_back(3);
-                      set.post_call(3, 1, ns(10) + 2 * us(1),
-                                    sim::SmallFn([&order] { order.push_back(1); }));
-                    }));
-    });
-    const Time t = set.run(us(1), threads);
-    EXPECT_EQ(t, ns(10) + 2 * us(1));
-    return order;
-  };
-  const std::vector<int> want = {0, 3, 1};
-  EXPECT_EQ(run_chain(1, 1), want);  // flat
-  EXPECT_EQ(run_chain(1, 4), want);
-  EXPECT_EQ(run_chain(4, 1), want);  // one group == whole set
-  EXPECT_EQ(run_chain(4, 4), want);
-}
-
 /// The worker pool persists across run() invocations: a second run on the
-/// same set (same thread count, same layout) reuses the parked threads and
-/// still drains canonically.
+/// same set (same thread count) reuses the parked threads and still drains
+/// canonically.  Repeated under --gtest_repeat by the pool stress ctest
+/// entry, which catches a rebuilt worker replaying an old epoch.
 TEST(EngineSet, PersistentPoolReusedAcrossRuns) {
   sim::EngineSet set(4);
-  set.set_hierarchy(2, ns(100));
   std::vector<int> order;
   set.shard(0).call_at(ns(10), [&set, &order] {
     set.post_call(0, 2, us(2), sim::SmallFn([&order] { order.push_back(2); }));
@@ -266,10 +168,8 @@ struct RunOut {
   }
 };
 
-RunOut run_mixed_workload(const SystemConfig& cfg, int threads,
-                          emu::EngineShard shard = emu::EngineShard::node) {
+RunOut run_mixed_workload(const SystemConfig& cfg, int threads) {
   const int prev = emu::set_engine_threads(threads);
-  const emu::EngineShard prev_shard = emu::set_engine_shard(shard);
   Machine m(cfg);
   m.trace.enable(1u << 16);
   const Time elapsed = m.run_root([&m](Context& ctx) -> sim::Op<> {
@@ -296,7 +196,6 @@ RunOut run_mixed_workload(const SystemConfig& cfg, int threads,
   o.mig_mean = m.stats.migration_latency_ns.summary().mean();
   o.trace = m.trace.records();
   emu::set_engine_threads(prev);
-  emu::set_engine_shard(prev_shard);
   return o;
 }
 
@@ -316,54 +215,6 @@ TEST(ShardedMachine, SingleNodeIgnoresEngineThreads) {
   const SystemConfig cfg = SystemConfig::chick_fullspeed();
   const RunOut serial = run_mixed_workload(cfg, 1);
   EXPECT_TRUE(serial == run_mixed_workload(cfg, 8));
-}
-
-/// Nodelet sharding obeys the same contract: one shard per nodelet under
-/// two-level windows, and the worker-thread count never changes the
-/// simulation — timings, stats, and traces byte-identical to serial.
-TEST(ShardedMachine, NodeletShardingThreadCountNeverChangesResults) {
-  const SystemConfig cfg = SystemConfig::fullspeed_multinode(4);
-  const RunOut serial =
-      run_mixed_workload(cfg, 1, emu::EngineShard::nodelet);
-  EXPECT_GT(serial.elapsed, 0);
-  EXPECT_GT(serial.internode, 0u);
-  EXPECT_FALSE(serial.trace.empty());
-  EXPECT_TRUE(serial ==
-              run_mixed_workload(cfg, 2, emu::EngineShard::nodelet));
-  EXPECT_TRUE(serial ==
-              run_mixed_workload(cfg, 8, emu::EngineShard::nodelet));
-  EXPECT_TRUE(serial ==
-              run_mixed_workload(cfg, 64, emu::EngineShard::nodelet));
-}
-
-/// A single-node machine still shards per nodelet in nodelet mode (node
-/// mode would be fully serial), and the thread count stays irrelevant.
-TEST(ShardedMachine, NodeletShardingSingleNodeIsDeterministic) {
-  const SystemConfig cfg = SystemConfig::chick_fullspeed();
-  const RunOut serial =
-      run_mixed_workload(cfg, 1, emu::EngineShard::nodelet);
-  EXPECT_GT(serial.elapsed, 0);
-  EXPECT_TRUE(serial ==
-              run_mixed_workload(cfg, 4, emu::EngineShard::nodelet));
-  EXPECT_TRUE(serial ==
-              run_mixed_workload(cfg, 8, emu::EngineShard::nodelet));
-}
-
-/// Node and nodelet sharding are distinct machine models (intra-node
-/// cross-nodelet traffic pays the crossbar hop under nodelet sharding), so
-/// simulated times may differ — but the structural counts of the execution
-/// (migrations, spawns, completed threads) are identical.
-TEST(ShardedMachine, NodeAndNodeletModesAgreeOnStructure) {
-  const SystemConfig cfg = SystemConfig::fullspeed_multinode(4);
-  const RunOut node = run_mixed_workload(cfg, 1, emu::EngineShard::node);
-  const RunOut nodelet =
-      run_mixed_workload(cfg, 1, emu::EngineShard::nodelet);
-  EXPECT_EQ(node.migrations, nodelet.migrations);
-  EXPECT_EQ(node.internode, nodelet.internode);
-  EXPECT_EQ(node.spawns, nodelet.spawns);
-  EXPECT_EQ(node.remote_spawns, nodelet.remote_spawns);
-  EXPECT_EQ(node.completed, nodelet.completed);
-  EXPECT_EQ(node.mig_count, nodelet.mig_count);
 }
 
 TEST(ShardedMachine, CrossNodeSyncWaitsForAllChildren) {
@@ -430,37 +281,6 @@ TEST(ShardedMachine, GupsVerifiesAcrossNodesAndThreadCounts) {
   emu::set_engine_threads(2);
   const auto threaded = kernels::run_gups_emu(cfg, p);
   emu::set_engine_threads(prev);
-  EXPECT_TRUE(serial.verified);
-  EXPECT_TRUE(threaded.verified);
-  EXPECT_EQ(serial.elapsed, threaded.elapsed);
-  EXPECT_EQ(serial.migrations, threaded.migrations);
-}
-
-TEST(ShardedMachine, NodeletHistogramIsExactAndDeterministic) {
-  const SystemConfig cfg = SystemConfig::fullspeed_multinode(2);
-  const emu::EngineShard prev =
-      emu::set_engine_shard(emu::EngineShard::nodelet);
-  const auto serial = run_histogram(cfg, 1);
-  ASSERT_EQ(serial.size(), 16u);
-  for (const auto& count : serial) EXPECT_EQ(count, 512u / 16u);
-  EXPECT_EQ(serial, run_histogram(cfg, 4));
-  emu::set_engine_shard(prev);
-}
-
-TEST(ShardedMachine, NodeletGupsVerifiesAcrossThreadCounts) {
-  const SystemConfig cfg = SystemConfig::fullspeed_multinode(2);
-  kernels::GupsParams p;
-  p.table_words = 1u << 10;
-  p.updates = 1u << 12;
-  p.threads = 32;
-  const emu::EngineShard prev_shard =
-      emu::set_engine_shard(emu::EngineShard::nodelet);
-  const int prev = emu::set_engine_threads(1);
-  const auto serial = kernels::run_gups_emu(cfg, p);
-  emu::set_engine_threads(8);
-  const auto threaded = kernels::run_gups_emu(cfg, p);
-  emu::set_engine_threads(prev);
-  emu::set_engine_shard(prev_shard);
   EXPECT_TRUE(serial.verified);
   EXPECT_TRUE(threaded.verified);
   EXPECT_EQ(serial.elapsed, threaded.elapsed);

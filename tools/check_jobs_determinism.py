@@ -15,14 +15,8 @@ Two flags carry that guarantee and both are gated with this script:
                          per-node shards under conservative time windows,
                          canonical mailbox drain order
 
-Extra arguments after the thread count are passed verbatim to both runs,
-so the engine-threads gate composes with the shard-granularity switch:
-
-  check_jobs_determinism.py --flag engine-threads bench 4 --engine-shard=nodelet
-
-checks that per-nodelet sharding under two-level windows is equally
-thread-count-invariant.  (node vs nodelet outputs are distinct machine
-models and are never compared with each other.)
+Extra arguments after the thread count are passed verbatim to both runs
+(e.g. `--filter emu2` to check one slice of a bench).
 
 usage: check_jobs_determinism.py [--flag NAME] <bench-binary> [n] [extra...]
 """

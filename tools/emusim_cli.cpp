@@ -13,11 +13,13 @@
 //   emusim_cli mttkrp   --layout 1d --rank 8
 //
 // Overrides (Emu configs): --gc-mhz, --mig-per-sec, --mig-latency-us.
-// `--n` is log2 of the element count for stream/chase/gups.
+// `--n` is log2 of the element count for stream/chase/gups.  A key the
+// chosen subcommand and platform never read is a usage error (exit 2).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "emu/counters.hpp"
@@ -36,26 +38,50 @@ using namespace emusim;
 
 namespace {
 
+[[noreturn]] void usage(const char* msg = nullptr);
+
 struct Args {
   std::string benchmark;
   std::map<std::string, std::string> opts;
+  /// Every key a subcommand looked up, given or not.
+  mutable std::set<std::string> read;
 
-  bool has(const std::string& k) const { return opts.count(k) > 0; }
+  bool has(const std::string& k) const {
+    read.insert(k);
+    return opts.count(k) > 0;
+  }
   std::string str(const std::string& k, const std::string& dflt) const {
-    auto it = opts.find(k);
-    return it == opts.end() ? dflt : it->second;
+    return has(k) ? opts.at(k) : dflt;
   }
   long long num(const std::string& k, long long dflt) const {
-    auto it = opts.find(k);
-    return it == opts.end() ? dflt : std::atoll(it->second.c_str());
+    return has(k) ? std::atoll(opts.at(k).c_str()) : dflt;
   }
   double real(const std::string& k, double dflt) const {
-    auto it = opts.find(k);
-    return it == opts.end() ? dflt : std::atof(it->second.c_str());
+    return has(k) ? std::atof(opts.at(k).c_str()) : dflt;
+  }
+
+  /// Exit 2 on the first given key no accessor has looked up.  Subcommands
+  /// call this once all their options are read, before simulating.
+  void reject_unread() const {
+    for (const auto& [k, v] : opts) {
+      if (read.count(k) == 0) {
+        const std::string msg = "--" + k + " is not an option of '" +
+                                benchmark + "' on this platform";
+        usage(msg.c_str());
+      }
+    }
   }
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
+/// Prints each finished machine's per-nodelet counter report (--counters).
+class CounterPrinter : public emu::MachineObserver {
+ public:
+  void machine_finished(emu::Machine& m, Time elapsed) override {
+    std::fputs(emu::counters_report(m, elapsed).c_str(), stdout);
+  }
+};
+
+[[noreturn]] void usage(const char* msg) {
   if (msg) std::fprintf(stderr, "error: %s\n", msg);
   std::fprintf(stderr,
                "usage: emusim_cli <stream|chase|spmv|pingpong|gups|bfs|"
@@ -89,6 +115,8 @@ Args parse(int argc, char** argv) {
   return a;
 }
 
+/// The Emu config named by --config with its overrides applied.  Also
+/// installs the --counters report for the machines the run builds.
 emu::SystemConfig emu_config(const Args& a) {
   const std::string name = a.str("config", "chick_hw");
   emu::SystemConfig cfg;
@@ -109,6 +137,10 @@ emu::SystemConfig emu_config(const Args& a) {
   }
   if (a.has("mig-latency-us")) {
     cfg.migration_latency = us(a.real("mig-latency-us", 1.4));
+  }
+  if (a.has("counters")) {
+    static CounterPrinter printer;
+    emu::set_machine_observer(&printer);
   }
   return cfg;
 }
@@ -132,7 +164,9 @@ int run_stream(const Args& a) {
     kernels::StreamXeonParams p;
     p.n = n;
     p.threads = static_cast<int>(a.num("threads", 16));
-    const auto r = kernels::run_stream_xeon(xeon_config(a), p);
+    const auto cfg = xeon_config(a);
+    a.reject_unread();
+    const auto r = kernels::run_stream_xeon(cfg, p);
     print_summary("STREAM", r.mb_per_sec, "MB/s", r.elapsed);
     return r.verified ? 0 : 1;
   }
@@ -150,7 +184,9 @@ int run_stream(const Args& a) {
     p.strategy = kernels::SpawnStrategy::recursive_remote_spawn;
   }
   p.across = static_cast<int>(a.num("across", 0));
-  const auto r = kernels::run_stream_add(emu_config(a), p);
+  const auto cfg = emu_config(a);
+  a.reject_unread();
+  const auto r = kernels::run_stream_add(cfg, p);
   print_summary("STREAM", r.mb_per_sec, "MB/s", r.elapsed);
   std::printf("migrations: %llu, spawns: %llu\n",
               static_cast<unsigned long long>(r.migrations),
@@ -169,24 +205,27 @@ kernels::ShuffleMode parse_mode(const Args& a) {
 }
 
 int run_chase(const Args& a) {
-  const auto n = std::size_t{1} << a.num("n", 17);
   if (a.str("platform", "emu") == "xeon") {
     kernels::ChaseXeonParams p;
     p.n = std::size_t{1} << a.num("n", 21);
     p.block = static_cast<std::size_t>(a.num("block", 64));
     p.threads = static_cast<int>(a.num("threads", 32));
     p.mode = parse_mode(a);
-    const auto r = kernels::run_chase_xeon(xeon_config(a), p);
+    const auto cfg = xeon_config(a);
+    a.reject_unread();
+    const auto r = kernels::run_chase_xeon(cfg, p);
     print_summary("chase", r.mb_per_sec, "MB/s", r.elapsed);
     std::printf("llc hit rate: %.3f\n", r.llc_hit_rate);
     return r.verified ? 0 : 1;
   }
   kernels::ChaseEmuParams p;
-  p.n = n;
+  p.n = std::size_t{1} << a.num("n", 17);
   p.block = static_cast<std::size_t>(a.num("block", 64));
   p.threads = static_cast<int>(a.num("threads", 512));
   p.mode = parse_mode(a);
-  const auto r = kernels::run_chase_emu(emu_config(a), p);
+  const auto cfg = emu_config(a);
+  a.reject_unread();
+  const auto r = kernels::run_chase_emu(cfg, p);
   print_summary("chase", r.mb_per_sec, "MB/s", r.elapsed);
   std::printf("migrations/element: %.4f\n", r.migrations_per_element);
   return r.verified ? 0 : 1;
@@ -204,7 +243,9 @@ int run_spmv(const Args& a) {
                  ? kernels::SpmvXeonImpl::cilk_for
                  : impl == "cilk_spawn" ? kernels::SpmvXeonImpl::cilk_spawn
                                         : kernels::SpmvXeonImpl::mkl;
-    const auto r = kernels::run_spmv_xeon(xeon_config(a), p);
+    const auto cfg = xeon_config(a);
+    a.reject_unread();
+    const auto r = kernels::run_spmv_xeon(cfg, p);
     print_summary("SpMV", r.mb_per_sec, "MB/s", r.elapsed);
     return r.verified ? 0 : 1;
   }
@@ -216,7 +257,9 @@ int run_spmv(const Args& a) {
                  ? kernels::SpmvLayout::local
                  : layout == "1d" ? kernels::SpmvLayout::one_d
                                   : kernels::SpmvLayout::two_d;
-  const auto r = kernels::run_spmv_emu(emu_config(a), p);
+  const auto cfg = emu_config(a);
+  a.reject_unread();
+  const auto r = kernels::run_spmv_emu(cfg, p);
   print_summary("SpMV", r.mb_per_sec, "MB/s", r.elapsed);
   std::printf("migrations: %llu\n",
               static_cast<unsigned long long>(r.migrations));
@@ -227,7 +270,9 @@ int run_pingpong(const Args& a) {
   kernels::PingPongParams p;
   p.threads = static_cast<int>(a.num("threads", 64));
   p.round_trips = static_cast<int>(a.num("round-trips", 1000));
-  const auto r = kernels::run_pingpong(emu_config(a), p);
+  const auto cfg = emu_config(a);
+  a.reject_unread();
+  const auto r = kernels::run_pingpong(cfg, p);
   print_summary("pingpong", r.migrations_per_sec / 1e6, "M mig/s", r.elapsed);
   std::printf("mean migration latency: %.2f us\n", r.mean_latency_us);
   return 0;
@@ -237,14 +282,18 @@ int run_gups(const Args& a) {
   kernels::GupsParams p;
   p.table_words = std::size_t{1} << a.num("n", 20);
   p.updates = std::size_t{1} << a.num("updates", 17);
-  p.threads = static_cast<int>(a.num("threads", 512));
   if (a.str("platform", "emu") == "xeon") {
     p.threads = static_cast<int>(a.num("threads", 32));
-    const auto r = kernels::run_gups_xeon(xeon_config(a), p);
+    const auto cfg = xeon_config(a);
+    a.reject_unread();
+    const auto r = kernels::run_gups_xeon(cfg, p);
     print_summary("GUPS", r.giga_updates_per_sec, "GUPS", r.elapsed);
     return r.verified ? 0 : 1;
   }
-  const auto r = kernels::run_gups_emu(emu_config(a), p);
+  p.threads = static_cast<int>(a.num("threads", 512));
+  const auto cfg = emu_config(a);
+  a.reject_unread();
+  const auto r = kernels::run_gups_emu(cfg, p);
   print_summary("GUPS", r.giga_updates_per_sec, "GUPS", r.elapsed);
   return r.verified ? 0 : 1;
 }
@@ -271,7 +320,9 @@ int run_bfs(const Args& a) {
   kernels::BfsEmuParams p;
   p.g = &g;
   p.source = source;
-  const auto r = kernels::run_bfs_emu(emu_config(a), p);
+  const auto cfg = emu_config(a);
+  a.reject_unread();
+  const auto r = kernels::run_bfs_emu(cfg, p);
   print_summary("BFS", r.mteps, "MTEPS", r.elapsed);
   std::printf("levels: %d, migrations: %llu\n", r.levels,
               static_cast<unsigned long long>(r.migrations));
@@ -287,7 +338,9 @@ int run_mttkrp(const Args& a) {
     p.x = &x;
     p.rank = static_cast<int>(a.num("rank", 8));
     p.threads = static_cast<int>(a.num("threads", 56));
-    const auto r = kernels::run_mttkrp_xeon(xeon_config(a), p);
+    const auto cfg = xeon_config(a);
+    a.reject_unread();
+    const auto r = kernels::run_mttkrp_xeon(cfg, p);
     print_summary("MTTKRP", r.mflops, "Mflop/s", r.elapsed);
     return r.verified ? 0 : 1;
   }
@@ -296,7 +349,9 @@ int run_mttkrp(const Args& a) {
   p.rank = static_cast<int>(a.num("rank", 8));
   p.layout = a.str("layout", "2d") == "1d" ? kernels::MttkrpLayout::one_d
                                            : kernels::MttkrpLayout::two_d;
-  const auto r = kernels::run_mttkrp_emu(emu_config(a), p);
+  const auto cfg = emu_config(a);
+  a.reject_unread();
+  const auto r = kernels::run_mttkrp_emu(cfg, p);
   print_summary("MTTKRP", r.mflops, "Mflop/s", r.elapsed);
   std::printf("migrations: %llu\n",
               static_cast<unsigned long long>(r.migrations));
