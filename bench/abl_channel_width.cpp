@@ -65,10 +65,8 @@ int main(int argc, char** argv) {
       // clock.
       timing.transfer_rate_mts = 1600.0 * 8 / bus_bits;
 
-      const double bw8 = bench::repeated(
-          h, [&] { return random_read_bandwidth(timing, 8, count); });
-      const double bw64 = bench::repeated(
-          h, [&] { return random_read_bandwidth(timing, 64, count); });
+      const double bw8 = random_read_bandwidth(timing, 8, count);
+      const double bw64 = random_read_bandwidth(timing, 64, count);
       const double eff = bw8 / (timing.bytes_per_sec() / 1e6);
       if (h.enabled("read8")) {
         sink.add("read8", bus_bits, bw8, {{"efficiency", eff}});

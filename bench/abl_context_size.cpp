@@ -35,15 +35,13 @@ int main(int argc, char** argv) {
       pp.round_trips = h.quick() ? 100 : 500;
       pp.nodelet_a = 0;
       pp.nodelet_b = cfg.nodelets_per_node;  // first nodelet of node 1
-      const auto pr =
-          bench::repeated(h, [&] { return kernels::run_pingpong(cfg, pp); });
+      const auto pr = kernels::run_pingpong(cfg, pp);
 
       kernels::ChaseEmuParams cp;
       cp.n = h.quick() ? (1u << 14) : (1u << 16);
       cp.block = 1;
       cp.threads = h.quick() ? 256 : 1024;
-      const auto cr =
-          bench::repeated(h, [&] { return kernels::run_chase_emu(cfg, cp); });
+      const auto cr = kernels::run_chase_emu(cfg, cp);
       if (!cr.verified) sink.fail("chase verification failed");
 
       if (h.enabled("pingpong_internode_mps")) {

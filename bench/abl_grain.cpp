@@ -31,17 +31,13 @@ int main(int argc, char** argv) {
       ep.laplacian_n = n;
       ep.layout = kernels::SpmvLayout::two_d;
       ep.grain = g;
-      const auto er = bench::repeated(h, [&] {
-        return kernels::run_spmv_emu(emu::SystemConfig::chick_hw(), ep);
-      });
+      const auto er = kernels::run_spmv_emu(emu::SystemConfig::chick_hw(), ep);
 
       kernels::SpmvXeonParams xp;
       xp.laplacian_n = n;
       xp.impl = kernels::SpmvXeonImpl::cilk_spawn;
       xp.grain = g;
-      const auto xr = bench::repeated(h, [&] {
-        return kernels::run_spmv_xeon(xeon::SystemConfig::haswell(), xp);
-      });
+      const auto xr = kernels::run_spmv_xeon(xeon::SystemConfig::haswell(), xp);
 
       if (!er.verified || !xr.verified) sink.fail("verification failed");
       if (h.enabled("emu_2d")) {

@@ -46,14 +46,12 @@ int main(int argc, char** argv) {
         cp.n = h.quick() ? (1u << 14) : (1u << 16);
         cp.block = 1;
         cp.threads = h.quick() ? 64 : 512;
-        const auto cr = bench::repeated(
-            h, [&] { return kernels::run_chase_emu(cfg, cp); });
+        const auto cr = kernels::run_chase_emu(cfg, cp);
 
         kernels::SpmvEmuParams sp;
         sp.laplacian_n = h.quick() ? 50 : 100;
         sp.layout = kernels::SpmvLayout::one_d;
-        const auto sr = bench::repeated(
-            h, [&] { return kernels::run_spmv_emu(cfg, sp); });
+        const auto sr = kernels::run_spmv_emu(cfg, sp);
 
         if (!cr.verified || !sr.verified) sink.fail("verification failed");
         if (h.enabled("chase_block1")) {

@@ -33,16 +33,14 @@ int main(int argc, char** argv) {
       cp.n = h.quick() ? (1u << 16) : (std::size_t{1} << 21);
       cp.block = 64;
       cp.threads = 32;
-      const auto cr =
-          bench::repeated(h, [&] { return kernels::run_chase_xeon(snb, cp); });
+      const auto cr = kernels::run_chase_xeon(snb, cp);
 
       auto hsw = xeon::SystemConfig::haswell();
       hsw.remote_socket_latency = ns(hop_ns);
       kernels::SpmvXeonParams sp;
       sp.laplacian_n = h.quick() ? 50 : 200;
       sp.impl = kernels::SpmvXeonImpl::mkl;
-      const auto sr =
-          bench::repeated(h, [&] { return kernels::run_spmv_xeon(hsw, sp); });
+      const auto sr = kernels::run_spmv_xeon(hsw, sp);
 
       if (!cr.verified || !sr.verified) sink.fail("verification failed");
       if (h.enabled("chase_block64")) {

@@ -127,7 +127,7 @@ int main(int argc, char** argv) {
           layout == SparseLayout::reordered) {
         continue;
       }
-      pool.submit([&h, &xeon_cfg, arm, layout, li, xeon_n, emu_n,
+      pool.submit([&xeon_cfg, arm, layout, li, xeon_n, emu_n,
                    avg_degree, xeon_block, emu_block,
                    seed](bench::PointSink& sink) {
         sink.table(arm.table);
@@ -139,10 +139,8 @@ int main(int argc, char** argv) {
             a, x, layout, arm.is_emu ? emu_block : xeon_block);
         kernels::SparseOptParams p;
         p.plan = &plan;
-        const auto r = bench::repeated(h, [&] {
-          return arm.is_emu ? run_sparse_emu(*arm.emu, p)
-                            : run_sparse_xeon(xeon_cfg, p);
-        });
+        const auto r = arm.is_emu ? run_sparse_emu(*arm.emu, p)
+                                  : run_sparse_xeon(xeon_cfg, p);
         if (!r.verified) {
           sink.fail(arm.series + "/" + to_string(layout) +
                     ": y mismatch vs plan reference");
@@ -174,8 +172,7 @@ int main(int argc, char** argv) {
         if (h.enabled("mttkrp_emu")) {
           kernels::MttkrpEmuParams p;
           p.x = tensors[i];
-          const auto r = bench::repeated(
-              h, [&] { return run_mttkrp_emu(emu_cfg, p); });
+          const auto r = run_mttkrp_emu(emu_cfg, p);
           if (!r.verified) sink.fail("mttkrp_emu verification failed");
           sink.add_labeled("mttkrp_emu", labels[i], static_cast<double>(i),
                            r.mflops,
@@ -187,8 +184,7 @@ int main(int argc, char** argv) {
           kernels::MttkrpXeonParams p;
           p.x = tensors[i];
           p.threads = 16;
-          const auto r = bench::repeated(
-              h, [&] { return run_mttkrp_xeon(xeon_cfg, p); });
+          const auto r = run_mttkrp_xeon(xeon_cfg, p);
           if (!r.verified) sink.fail("mttkrp_xeon verification failed");
           sink.add_labeled("mttkrp_xeon", labels[i], static_cast<double>(i),
                            r.mflops,

@@ -38,13 +38,12 @@ std::string format_x(const report::ResultPoint& p) {
 std::string usage(const std::string& bench_name) {
   return "usage: " + bench_name +
          " [--csv <path>] [--json <path>] [--quick] [--filter <substr>]"
-         " [--reps <n>] [--jobs <n>] [--engine-threads <n>] [--trace <path>]"
+         " [--jobs <n>] [--engine-threads <n>] [--trace <path>]"
          " [--trace-cap <records>] [--counters] [--help]\n"
          "value flags also accept --flag=value\n";
 }
 
-bool parse_options(int argc, char** argv, Options* out, std::string* err,
-                   const std::string& passthrough_prefix) {
+bool parse_options(int argc, char** argv, Options* out, std::string* err) {
   Options o;
   // Current flag's inline "--flag=value" payload, when present.
   bool has_inline = false;
@@ -77,12 +76,6 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err,
   };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
-    // Passthrough flags (e.g. --benchmark_filter=x) keep their '=' intact.
-    if (!passthrough_prefix.empty() &&
-        arg.compare(0, passthrough_prefix.size(), passthrough_prefix) == 0) {
-      o.passthrough.push_back(std::move(arg));
-      continue;
-    }
     has_inline = false;
     if (arg.size() > 2 && arg[0] == '-' && arg[1] == '-') {
       if (const auto eq = arg.find('='); eq != std::string::npos) {
@@ -98,8 +91,6 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err,
       if (!take_value(i, "--json", &o.json_path)) return false;
     } else if (std::strcmp(a, "--filter") == 0) {
       if (!take_value(i, "--filter", &o.filter)) return false;
-    } else if (std::strcmp(a, "--reps") == 0) {
-      if (!take_int(i, "--reps", 1, 1000000, &o.reps)) return false;
     } else if (std::strcmp(a, "--jobs") == 0) {
       if (!take_int(i, "--jobs", 1, 1024, &o.jobs)) return false;
     } else if (std::strcmp(a, "--engine-threads") == 0) {
@@ -130,11 +121,10 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err,
   return true;
 }
 
-Harness::Harness(std::string bench_name, int argc, char** argv,
-                 const std::string& passthrough_prefix)
+Harness::Harness(std::string bench_name, int argc, char** argv)
     : name_(std::move(bench_name)) {
   std::string err;
-  if (!parse_options(argc, argv, &opt_, &err, passthrough_prefix)) {
+  if (!parse_options(argc, argv, &opt_, &err)) {
     std::fprintf(stderr, "%s: %s\n%s", name_.c_str(), err.c_str(),
                  usage(name_).c_str());
     std::exit(2);
@@ -145,7 +135,6 @@ Harness::Harness(std::string bench_name, int argc, char** argv,
   }
   result_.bench = name_;
   result_.quick = opt_.quick;
-  result_.reps = opt_.reps;
   // Points run inline (no SweepPool) execute on this thread; SweepPool
   // workers install the same values on themselves (sweep_pool.cpp).
   emu::set_engine_threads(opt_.engine_threads);
@@ -223,7 +212,6 @@ report::ResultSeries& Harness::series_slot(const std::string& name) {
     if (result_.series[i].name == name) return result_.series[i];
   }
   result_.series.push_back(report::ResultSeries{name, {}});
-  accums_.emplace_back();
   tables_[current_table_].series_idx.push_back(result_.series.size() - 1);
   return result_.series.back();
 }
@@ -236,6 +224,12 @@ void Harness::add(const std::string& series, double x, double y,
 void Harness::add_labeled(const std::string& series, const std::string& label,
                           double x, double y,
                           std::vector<std::pair<std::string, double>> extra) {
+  report::ResultSeries& s = series_slot(series);
+  if (label.empty() ? s.find(x) != nullptr : s.find_label(label) != nullptr) {
+    fail("duplicate point: series '" + series + "' already has " +
+         (label.empty() ? "x=" + report::json_number(x)
+                        : "label '" + label + "'"));
+  }
   for (const auto& [k, v] : extra) {
     if (k == "sim_ms") result_.sim_seconds += v / 1e3;
   }
@@ -244,44 +238,7 @@ void Harness::add_labeled(const std::string& series, const std::string& label,
         series, label.empty() ? format_x(report::ResultPoint{x, y, "", {}})
                               : label);
   }
-  report::ResultSeries& s = series_slot(series);
-  const std::size_t si =
-      static_cast<std::size_t>(&s - result_.series.data());
-  // Merge with an existing point at the same position, so a --reps loop
-  // over the same sweep averages instead of duplicating.  The stored value
-  // is always raw-sum / count — stable accumulation, so the average is the
-  // same no matter what order duplicates arrive in (a running mean is not,
-  // which would make --reps output depend on scheduling).
-  for (std::size_t pi = 0; pi < s.points.size(); ++pi) {
-    report::ResultPoint& p = s.points[pi];
-    const bool same = label.empty()
-                          ? p.label.empty() &&
-                                std::fabs(p.x - x) <=
-                                    1e-9 * std::fmax(1.0, std::fabs(x))
-                          : p.label == label;
-    if (!same) continue;
-    PointAccum& a = accums_[si][pi];
-    a.y_sum += y;
-    ++a.n;
-    p.y = a.y_sum / a.n;
-    for (const auto& [k, v] : extra) {
-      for (std::size_t ei = 0; ei < p.extra.size(); ++ei) {
-        if (p.extra[ei].first == k) {
-          a.extra_sums[ei] += v;
-          p.extra[ei].second = a.extra_sums[ei] / a.n;
-          break;
-        }
-      }
-    }
-    return;
-  }
-  PointAccum a;
-  a.y_sum = y;
-  a.n = 1;
-  a.extra_sums.reserve(extra.size());
-  for (const auto& [k, v] : extra) a.extra_sums.push_back(v);
   s.points.push_back(report::ResultPoint{x, y, label, std::move(extra)});
-  accums_[si].push_back(std::move(a));
 }
 
 void Harness::fail(const std::string& msg) {
@@ -295,8 +252,8 @@ void Harness::absorb_pending_counters(const std::string& series,
   auto pending = observer_->take_pending_counters();
   const std::string base = series + "/" + phase_key;
   for (std::size_t i = 0; i < pending.size(); ++i) {
-    // Several machine runs can back one point (--reps, multi-run kernels);
-    // keep them apart so warmup reps stay distinguishable from measured.
+    // Several machine runs can back one point (multi-run kernels); keep
+    // them apart so each run's deltas stay distinguishable.
     std::string phase = base;
     if (pending.size() > 1) phase += "#run" + std::to_string(i);
     pending[i].set("phase", report::Json::string(phase));

@@ -7,10 +7,6 @@
 //                    and tools/benchdiff)
 //   --quick          smaller problem sizes / fewer sweep points (CI mode)
 //   --filter <str>   run only series whose name contains <str>
-//   --reps <n>       repeat each kernel invocation n times (the simulator is
-//                    deterministic, so this exercises wall-clock stability;
-//                    duplicate points are averaged with a stable sum/count
-//                    accumulation, so the average is order-independent)
 //   --jobs <n>       run sweep points on n worker threads (default: the
 //                    host's hardware concurrency).  Output is byte-identical
 //                    to --jobs 1 apart from wall-clock fields: points merge
@@ -35,6 +31,10 @@
 // and flags missing their argument are usage errors: the harness prints
 // usage and the binary exits with status 2.  See docs/OBSERVABILITY.md for
 // the --trace/--counters output formats and truncation guarantees.
+//
+// Every point is a deterministic simulated quantity recorded once: a second
+// add at the same (series, x) or (series, label) is a bench bug and fails
+// the run.  Host time is measured by perfbench/, not here.
 #pragma once
 
 #include <cstddef>
@@ -63,7 +63,6 @@ struct Options {
   std::string json_path;
   bool quick = false;
   std::string filter;
-  int reps = 1;
   /// Worker threads for the sweep pool; 0 = auto (hardware_concurrency).
   /// Deliberately excluded from the config fingerprint: any --jobs value
   /// produces the same simulated results.
@@ -76,9 +75,6 @@ struct Options {
   int trace_cap = 1 << 16;
   bool counters = false;
   bool help = false;
-  /// Flags matching the passthrough prefix (e.g. "--benchmark_" for the
-  /// google-benchmark binary), preserved verbatim for the wrapped tool.
-  std::vector<std::string> passthrough;
 };
 
 std::string usage(const std::string& bench_name);
@@ -86,22 +82,19 @@ std::string usage(const std::string& bench_name);
 /// Parse argv.  Returns false with a diagnostic in `*err` on unknown flags,
 /// missing arguments, or malformed values — callers must treat that as a
 /// usage error, not a best-effort run.
-bool parse_options(int argc, char** argv, Options* out, std::string* err,
-                   const std::string& passthrough_prefix = "");
+bool parse_options(int argc, char** argv, Options* out, std::string* err);
 
 /// One bench run: parses flags (exiting on bad usage), collects series
 /// points, and on done() prints per-table pivots and writes CSV/JSON.
 class Harness {
  public:
-  /// `passthrough_prefix` as in parse_options.  Prints usage and exits(2)
-  /// on a flag error; exits(0) after printing usage for --help.
-  Harness(std::string bench_name, int argc, char** argv,
-          const std::string& passthrough_prefix = "");
+  /// Prints usage and exits(2) on a flag error; exits(0) after printing
+  /// usage for --help.
+  Harness(std::string bench_name, int argc, char** argv);
   ~Harness();
 
   const Options& opt() const { return opt_; }
   bool quick() const { return opt_.quick; }
-  int reps() const { return opt_.reps; }
   /// Resolved --jobs value: the flag, or hardware_concurrency (min 1) when
   /// the flag was not given.
   int jobs() const;
@@ -120,14 +113,15 @@ class Harness {
   /// attach to it.  `precision` is the decimal places for y cells.
   void table(const std::string& title, int precision = 1);
 
-  /// Add one measurement.  Points with an equal (series, x) are averaged —
-  /// this is what makes --reps loops safe to run over the same sweep.  An
-  /// extra named "sim_ms" also accumulates into the result's sim_seconds.
+  /// Add one measurement.  A second point at an equal (series, x) fails the
+  /// run (see fail()).  An extra named "sim_ms" also accumulates into the
+  /// result's sim_seconds.
   void add(const std::string& series, double x, double y,
            std::vector<std::pair<std::string, double>> extra = {});
 
   /// Categorical variant: the point is identified by `label`; `x` is its
-  /// ordinal position (used only for display ordering).
+  /// ordinal position (used only for display ordering).  A second point
+  /// with an equal (series, label) fails the run.
   void add_labeled(const std::string& series, const std::string& label,
                    double x, double y,
                    std::vector<std::pair<std::string, double>> extra = {});
@@ -141,11 +135,6 @@ class Harness {
   int done();
 
   const report::BenchResult& result() const { return result_; }
-
-  /// Mark the y metric as wall-clock-derived (host throughput): the result
-  /// JSON gets "y_wall_clock": true and tools/benchdiff reports but never
-  /// gates on it.  micro_simcore uses this; simulated-metric benches don't.
-  void mark_wall_clock_y() { result_.y_wall_clock = true; }
 
   /// Attach the tail-latency blob ("series/label" -> histogram JSON) that
   /// serving benches emit alongside their points.  Stored under the
@@ -165,15 +154,6 @@ class Harness {
     std::vector<std::size_t> series_idx;  ///< indices into result_.series
   };
 
-  /// Per-point stable accumulator: duplicate (series, x) adds keep the raw
-  /// sum and count, and the stored point is sum/count — the same value in
-  /// any add order, unlike a running mean.
-  struct PointAccum {
-    double y_sum = 0.0;
-    std::vector<double> extra_sums;  ///< aligned with the point's extra
-    int n = 0;
-  };
-
   report::ResultSeries& series_slot(const std::string& name);
   void print_tables() const;
   bool write_csv() const;
@@ -188,8 +168,6 @@ class Harness {
   report::BenchResult result_;
   std::vector<TableGroup> tables_;
   std::size_t current_table_ = 0;
-  /// Per-point accumulators, aligned with result_.series[i].points.
-  std::vector<std::vector<PointAccum>> accums_;
   double start_wall_ = 0.0;
   /// Installed when --trace/--counters is active (docs/OBSERVABILITY.md).
   std::unique_ptr<report::BenchObserver> observer_;
@@ -202,15 +180,5 @@ void record_config(Harness& h, const emu::SystemConfig& cfg,
                    const std::string& prefix = "");
 void record_config(Harness& h, const xeon::SystemConfig& cfg,
                    const std::string& prefix = "");
-
-/// Run `fn` 1 + (reps-1) times and return the last result: `--reps` makes
-/// wall-clock profiles stable while the deterministic sim result is
-/// unchanged.
-template <class Fn>
-auto repeated(const Harness& h, Fn&& fn) {
-  auto r = fn();
-  for (int i = 1; i < h.reps(); ++i) r = fn();
-  return r;
-}
 
 }  // namespace emusim::bench

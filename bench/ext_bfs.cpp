@@ -59,19 +59,15 @@ int main(int argc, char** argv) {
       kernels::BfsEmuParams p;
       p.g = &c.g;
       p.source = c.source;
-      const auto hw = bench::repeated(h, [&] {
-        return kernels::run_bfs_emu(emu::SystemConfig::chick_hw(), p);
-      });
-      const auto full = bench::repeated(h, [&] {
-        return kernels::run_bfs_emu(emu::SystemConfig::chick_fullspeed(), p);
-      });
+      const auto hw = kernels::run_bfs_emu(emu::SystemConfig::chick_hw(), p);
+      const auto full =
+          kernels::run_bfs_emu(emu::SystemConfig::chick_fullspeed(), p);
       kernels::BfsXeonParams xp;
       xp.g = &c.g;
       xp.source = c.source;
       xp.threads = 16;
-      const auto xr = bench::repeated(h, [&] {
-        return kernels::run_bfs_xeon(xeon::SystemConfig::sandy_bridge(), xp);
-      });
+      const auto xr =
+          kernels::run_bfs_xeon(xeon::SystemConfig::sandy_bridge(), xp);
       if (!hw.verified || !full.verified || !xr.verified) {
         sink.fail(std::string("BFS verification failed on ") + c.name);
       }

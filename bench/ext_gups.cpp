@@ -32,10 +32,8 @@ int main(int argc, char** argv) {
                                  : std::vector<int>{64, 256, 512}) {
       kernels::GupsParams pe = p;
       pe.threads = threads;
-      pool.submit([&h, pe, threads](bench::PointSink& sink) {
-        const auto r = bench::repeated(h, [&] {
-          return kernels::run_gups_emu(emu::SystemConfig::chick_hw(), pe);
-        });
+      pool.submit([pe, threads](bench::PointSink& sink) {
+        const auto r = kernels::run_gups_emu(emu::SystemConfig::chick_hw(), pe);
         if (!r.verified) sink.fail("emu GUPS verification failed");
         sink.add("emu", threads, r.giga_updates_per_sec,
                  {{"mb_per_sec", r.mb_per_sec},
@@ -50,11 +48,9 @@ int main(int argc, char** argv) {
                                  : std::vector<int>{8, 16, 32}) {
       kernels::GupsParams px = p;
       px.threads = threads;
-      pool.submit([&h, px, threads](bench::PointSink& sink) {
-        const auto r = bench::repeated(h, [&] {
-          return kernels::run_gups_xeon(xeon::SystemConfig::sandy_bridge(),
-                                        px);
-        });
+      pool.submit([px, threads](bench::PointSink& sink) {
+        const auto r =
+            kernels::run_gups_xeon(xeon::SystemConfig::sandy_bridge(), px);
         if (!r.verified) sink.fail("xeon GUPS verification failed");
         sink.add("xeon", threads, r.giga_updates_per_sec,
                  {{"mb_per_sec", r.mb_per_sec},

@@ -36,22 +36,19 @@ int main(int argc, char** argv) {
       ep.x = &x;
       ep.rank = rank;
       ep.layout = kernels::MttkrpLayout::one_d;
-      const auto one = bench::repeated(h, [&] {
-        return kernels::run_mttkrp_emu(emu::SystemConfig::chick_hw(), ep);
-      });
+      const auto one =
+          kernels::run_mttkrp_emu(emu::SystemConfig::chick_hw(), ep);
       kernels::MttkrpEmuParams ep2 = ep;
       ep2.layout = kernels::MttkrpLayout::two_d;
-      const auto two = bench::repeated(h, [&] {
-        return kernels::run_mttkrp_emu(emu::SystemConfig::chick_hw(), ep2);
-      });
+      const auto two =
+          kernels::run_mttkrp_emu(emu::SystemConfig::chick_hw(), ep2);
 
       kernels::MttkrpXeonParams xp;
       xp.x = &x;
       xp.rank = rank;
       xp.threads = 56;
-      const auto hw = bench::repeated(h, [&] {
-        return kernels::run_mttkrp_xeon(xeon::SystemConfig::haswell(), xp);
-      });
+      const auto hw =
+          kernels::run_mttkrp_xeon(xeon::SystemConfig::haswell(), xp);
 
       if (!one.verified || !two.verified || !hw.verified) {
         sink.fail("MTTKRP verification failed (rank " + std::to_string(rank) +

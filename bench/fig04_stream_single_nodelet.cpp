@@ -29,14 +29,13 @@ int main(int argc, char** argv) {
   for (int t : {1, 2, 4, 8, 16, 24, 32, 48, 64}) {
     for (auto s : strategies) {
       if (!h.enabled(kernels::to_string(s))) continue;
-      pool.submit([&h, &cfg, n, t, s](bench::PointSink& sink) {
+      pool.submit([&cfg, n, t, s](bench::PointSink& sink) {
         StreamParams p;
         p.n = n;
         p.threads = t;
         p.strategy = s;
         p.across = 1;  // single nodelet
-        const auto r = bench::repeated(
-            h, [&] { return kernels::run_stream_add(cfg, p); });
+        const auto r = kernels::run_stream_add(cfg, p);
         if (!r.verified) sink.fail("STREAM verification failed");
         sink.add(kernels::to_string(s), t, r.mb_per_sec,
                  {{"sim_ms", to_seconds(r.elapsed) * 1e3},

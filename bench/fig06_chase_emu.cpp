@@ -33,15 +33,14 @@ int main(int argc, char** argv) {
                 : std::vector<std::size_t>{1, 2, 4, 8, 16, 32, 64, 128, 256,
                                            512};
 
-  auto run = [&h, &cfg, n](bench::PointSink& sink, std::size_t block,
-                           int threads, ShuffleMode mode) {
+  auto run = [&cfg, n](bench::PointSink& sink, std::size_t block,
+                       int threads, ShuffleMode mode) {
     ChaseEmuParams p;
     p.n = n;
     p.block = block;
     p.threads = threads;
     p.mode = mode;
-    const auto r =
-        bench::repeated(h, [&] { return kernels::run_chase_emu(cfg, p); });
+    const auto r = kernels::run_chase_emu(cfg, p);
     if (!r.verified) sink.fail("chase verification failed");
     return r;
   };

@@ -37,15 +37,14 @@ int main(int argc, char** argv) {
           : std::vector<std::size_t>{1,   4,    16,   64,   256,  1024,
                                      4096, 16384, 65536};
 
-  auto run = [&h, &cfg, n](bench::PointSink& sink, std::size_t block,
-                           int threads, ShuffleMode mode) {
+  auto run = [&cfg, n](bench::PointSink& sink, std::size_t block,
+                       int threads, ShuffleMode mode) {
     ChaseXeonParams p;
     p.n = n;
     p.block = block;
     p.threads = threads;
     p.mode = mode;
-    const auto r =
-        bench::repeated(h, [&] { return kernels::run_chase_xeon(cfg, p); });
+    const auto r = kernels::run_chase_xeon(cfg, p);
     if (!r.verified) sink.fail("chase verification failed");
     return r;
   };

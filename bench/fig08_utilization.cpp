@@ -69,15 +69,13 @@ int main(int argc, char** argv) {
       // One chain per block at minimum: clamp threads for the largest
       // blocks.
       ep.threads = static_cast<int>(std::min<std::size_t>(512, emu_n / b));
-      const auto er = bench::repeated(
-          h, [&] { return kernels::run_chase_emu(emu_cfg, ep); });
+      const auto er = kernels::run_chase_emu(emu_cfg, ep);
 
       kernels::ChaseXeonParams xp;
       xp.n = xeon_n;
       xp.block = b;
       xp.threads = 32;
-      const auto xr = bench::repeated(
-          h, [&] { return kernels::run_chase_xeon(snb_cfg, xp); });
+      const auto xr = kernels::run_chase_xeon(snb_cfg, xp);
 
       if (!er.verified || !xr.verified) sink.fail("chase verification failed");
       const double eu = 100.0 * er.mb_per_sec / emu_peak.mb_per_sec;

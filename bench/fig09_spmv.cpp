@@ -41,24 +41,22 @@ int main(int argc, char** argv) {
   for (std::size_t n : sizes) {
     for (auto layout : layouts) {
       if (!h.enabled(to_string(layout))) continue;
-      pool.submit(
-          [&h, &emu_cfg, table_a, n, layout](bench::PointSink& sink) {
-            sink.table(table_a);
-            SpmvEmuParams p;
-            p.laplacian_n = n;
-            p.layout = layout;
-            p.grain = 16;
-            const auto r = bench::repeated(
-                h, [&] { return kernels::run_spmv_emu(emu_cfg, p); });
-            if (!r.verified) {
-              sink.fail(std::string("emu SpMV verification failed (") +
-                        to_string(layout) + " n=" + std::to_string(n) + ")");
-            }
-            sink.add(to_string(layout), static_cast<double>(n), r.mb_per_sec,
-                     {{"nnz", static_cast<double>(5 * n * n)},
-                      {"sim_ms", to_seconds(r.elapsed) * 1e3},
-                      {"migrations", static_cast<double>(r.migrations)}});
-          });
+      pool.submit([&emu_cfg, table_a, n, layout](bench::PointSink& sink) {
+        sink.table(table_a);
+        SpmvEmuParams p;
+        p.laplacian_n = n;
+        p.layout = layout;
+        p.grain = 16;
+        const auto r = kernels::run_spmv_emu(emu_cfg, p);
+        if (!r.verified) {
+          sink.fail(std::string("emu SpMV verification failed (") +
+                    to_string(layout) + " n=" + std::to_string(n) + ")");
+        }
+        sink.add(to_string(layout), static_cast<double>(n), r.mb_per_sec,
+                 {{"nnz", static_cast<double>(5 * n * n)},
+                  {"sim_ms", to_seconds(r.elapsed) * 1e3},
+                  {"migrations", static_cast<double>(r.migrations)}});
+      });
     }
   }
 
@@ -70,15 +68,14 @@ int main(int argc, char** argv) {
   for (std::size_t n : sizes) {
     for (auto impl : impls) {
       if (!h.enabled(to_string(impl))) continue;
-      pool.submit([&h, &cpu_cfg, table_b, n, impl](bench::PointSink& sink) {
+      pool.submit([&cpu_cfg, table_b, n, impl](bench::PointSink& sink) {
         sink.table(table_b);
         SpmvXeonParams p;
         p.laplacian_n = n;
         p.impl = impl;
         p.threads = 56;
         p.grain = 16384;
-        const auto r = bench::repeated(
-            h, [&] { return kernels::run_spmv_xeon(cpu_cfg, p); });
+        const auto r = kernels::run_spmv_xeon(cpu_cfg, p);
         if (!r.verified) {
           sink.fail(std::string("xeon SpMV verification failed (") +
                     to_string(impl) + " n=" + std::to_string(n) + ")");

@@ -46,10 +46,8 @@ int main(int argc, char** argv) {
       p.threads = c.threads;
       p.across = c.across;
       p.strategy = kernels::SpawnStrategy::recursive_remote_spawn;
-      const auto rh =
-          bench::repeated(h, [&] { return kernels::run_stream_add(hw, p); });
-      const auto rs =
-          bench::repeated(h, [&] { return kernels::run_stream_add(sim, p); });
+      const auto rh = kernels::run_stream_add(hw, p);
+      const auto rs = kernels::run_stream_add(sim, p);
       if (!rh.verified || !rs.verified) sink.fail("STREAM verification failed");
       sink.add("stream_hw", c.nodelets, rh.mb_per_sec,
                {{"sim_ms", to_seconds(rh.elapsed) * 1e3}});
@@ -72,10 +70,8 @@ int main(int argc, char** argv) {
       p.n = h.quick() ? (1u << 15) : (1u << 17);
       p.block = b;
       p.threads = h.quick() ? 64 : 512;
-      const auto rh =
-          bench::repeated(h, [&] { return kernels::run_chase_emu(hw, p); });
-      const auto rs =
-          bench::repeated(h, [&] { return kernels::run_chase_emu(sim, p); });
+      const auto rh = kernels::run_chase_emu(hw, p);
+      const auto rs = kernels::run_chase_emu(sim, p);
       if (!rh.verified || !rs.verified) sink.fail("chase verification failed");
       sink.add("chase_hw", static_cast<double>(b), rh.mb_per_sec,
                {{"sim_ms", to_seconds(rh.elapsed) * 1e3}});
@@ -95,10 +91,8 @@ int main(int argc, char** argv) {
     kernels::PingPongParams pp;
     pp.threads = 64;
     pp.round_trips = h.quick() ? 200 : 2000;
-    const auto ph =
-        bench::repeated(h, [&] { return kernels::run_pingpong(hw, pp); });
-    const auto ps =
-        bench::repeated(h, [&] { return kernels::run_pingpong(sim, pp); });
+    const auto ph = kernels::run_pingpong(hw, pp);
+    const auto ps = kernels::run_pingpong(sim, pp);
     sink.add("pingpong_hw", pp.threads, ph.migrations_per_sec,
              {{"sim_ms", to_seconds(ph.elapsed) * 1e3}});
     sink.add("pingpong_sim", pp.threads, ps.migrations_per_sec,
@@ -109,10 +103,8 @@ int main(int argc, char** argv) {
     kernels::PingPongParams p1;
     p1.threads = 1;
     p1.round_trips = h.quick() ? 200 : 2000;
-    const auto lh =
-        bench::repeated(h, [&] { return kernels::run_pingpong(hw, p1); });
-    const auto ls =
-        bench::repeated(h, [&] { return kernels::run_pingpong(sim, p1); });
+    const auto lh = kernels::run_pingpong(hw, p1);
+    const auto ls = kernels::run_pingpong(sim, p1);
     sink.add("pingpong_hw", p1.threads, lh.migrations_per_sec,
              {{"latency_us", lh.mean_latency_us},
               {"sim_ms", to_seconds(lh.elapsed) * 1e3}});

@@ -43,13 +43,12 @@ int main(int argc, char** argv) {
       const std::string series = "t" + std::to_string(t);
       if (!h.enabled(series)) continue;
       if (n / b < static_cast<std::size_t>(t)) continue;
-      pool.submit([&h, &cfg, series, n, b, t](bench::PointSink& sink) {
+      pool.submit([&cfg, series, n, b, t](bench::PointSink& sink) {
         ChaseEmuParams p;
         p.n = n;
         p.block = b;
         p.threads = t;
-        const auto r = bench::repeated(
-            h, [&] { return kernels::run_chase_emu(cfg, p); });
+        const auto r = kernels::run_chase_emu(cfg, p);
         if (!r.verified) sink.fail("chase verification failed");
         sink.add(series, static_cast<double>(b), r.mb_per_sec,
                  {{"sim_ms", to_seconds(r.elapsed) * 1e3},

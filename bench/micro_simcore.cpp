@@ -1,26 +1,13 @@
 // google-benchmark microbenchmarks of the simulator itself: DES event
 // throughput, coroutine task churn, FIFO-server accounting, DRAM channel
-// accesses, and cache probes.  These bound the wall-clock cost of the
-// figure harnesses and catch performance regressions in the hot paths.
-//
-// The engine scenarios run twice: once against sim::Engine (the 4-ary-heap
-// + FIFO-fast-lane queue with SmallFn events) and once against a
-// LegacyEngine that reproduces the seed design — std::priority_queue over
-// events carrying a std::function, copied out of top() on every dispatch.
-// Comparing the BM_Engine* and BM_Legacy* items/sec gives the before/after
-// events-per-second figure recorded in results/micro_simcore.csv and
-// docs/MODELING.md.
+// accesses, and cache probes.  A stock google-benchmark program: select
+// scenarios with --benchmark_filter, write JSON with --benchmark_out.
 #include <benchmark/benchmark.h>
 
-#include <coroutine>
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <functional>
-#include <queue>
-#include <string>
 #include <vector>
 
-#include "bench_util.hpp"
 #include "mem/dram.hpp"
 #include "sim/engine.hpp"
 #include "sim/resource.hpp"
@@ -31,86 +18,12 @@ namespace {
 
 using namespace emusim;
 
-// --- the seed event queue, kept verbatim as the comparison baseline -------
+// --- engine scenarios ------------------------------------------------------
 
-class LegacyEngine {
- public:
-  Time now() const { return now_; }
-
-  void schedule(Time when, std::coroutine_handle<> h) {
-    pq_.push(Event{when, next_seq_++, h, {}});
-  }
-  void schedule_in(Time delay, std::coroutine_handle<> h) {
-    schedule(now_ + delay, h);
-  }
-  void call_at(Time when, std::function<void()> fn) {
-    pq_.push(Event{when, next_seq_++, {}, std::move(fn)});
-  }
-  void call_in(Time delay, std::function<void()> fn) {
-    call_at(now_ + delay, std::move(fn));
-  }
-
-  bool step() {
-    if (pq_.empty()) return false;
-    Event ev = pq_.top();  // the seed's copy-before-pop, deliberately kept
-    pq_.pop();
-    now_ = ev.when;
-    ++events_processed_;
-    if (ev.coro) {
-      ev.coro.resume();
-    } else {
-      ev.fn();
-    }
-    return true;
-  }
-  Time run() {
-    while (step()) {
-    }
-    return now_;
-  }
-
-  std::uint64_t events_processed() const { return events_processed_; }
-
-  auto sleep(Time delay) {
-    struct Awaiter {
-      LegacyEngine& eng;
-      Time delay;
-      bool await_ready() const noexcept { return false; }
-      void await_suspend(std::coroutine_handle<> h) const {
-        eng.schedule_in(delay, h);
-      }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this, delay};
-  }
-
- private:
-  struct Event {
-    Time when = 0;
-    std::uint64_t seq = 0;
-    std::coroutine_handle<> coro;
-    std::function<void()> fn;
-  };
-  struct Later {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.when != b.when) return a.when > b.when;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Event, std::vector<Event>, Later> pq_;
-  Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
-  std::uint64_t events_processed_ = 0;
-};
-
-// --- engine scenarios, templated over the queue implementation ------------
-
-template <class EngineT>
-void bm_schedule_drain(benchmark::State& state) {
+void BM_EngineScheduleDrain(benchmark::State& state) {
   const int batch = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    EngineT eng;
+    sim::Engine eng;
     for (int i = 0; i < batch; ++i) {
       eng.call_at(static_cast<Time>(i), [] {});
     }
@@ -119,25 +32,24 @@ void bm_schedule_drain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
+BENCHMARK(BM_EngineScheduleDrain)->Arg(1024)->Arg(65536);
 
 // Callback-heavy: chains of plain callbacks, each capturing 24 bytes (an
 // engine pointer plus two counters) and re-posting itself — the shape of
 // machine-component events such as prefetch completions and LFB releases.
-// 24 bytes exceeds libstdc++ std::function's inline buffer, so the legacy
-// queue allocates per event; SmallFn keeps it inline.
-template <class EngineT>
-void post_chain(EngineT& eng, std::uint64_t remaining, Time stride) {
+// 24 bytes exceeds libstdc++ std::function's inline buffer; SmallFn keeps
+// it inline.
+void post_chain(sim::Engine& eng, std::uint64_t remaining, Time stride) {
   eng.call_in(stride, [&eng, remaining, stride] {
     if (remaining > 1) post_chain(eng, remaining - 1, stride);
   });
 }
 
-template <class EngineT>
-void bm_callback_heavy(benchmark::State& state) {
+void BM_EngineCallbackHeavy(benchmark::State& state) {
   const int chains = 256;
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    EngineT eng;
+    sim::Engine eng;
     for (int c = 0; c < chains; ++c) {
       post_chain(eng, static_cast<std::uint64_t>(hops),
                  static_cast<Time>(c % 17 + 1));
@@ -147,17 +59,16 @@ void bm_callback_heavy(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * chains * hops);
 }
+BENCHMARK(BM_EngineCallbackHeavy)->Arg(64)->Arg(1024);
 
-template <class EngineT>
-sim::Task sleeper_task(EngineT& eng, int hops, Time delay) {
+sim::Task sleeper_task(sim::Engine& eng, int hops, Time delay) {
   for (int i = 0; i < hops; ++i) co_await eng.sleep(delay);
 }
 
-template <class EngineT>
-void bm_coroutine_hops(benchmark::State& state) {
+void BM_CoroutineHops(benchmark::State& state) {
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    EngineT eng;
+    sim::Engine eng;
     auto t = sleeper_task(eng, hops, ns(1));
     t.start();
     eng.run();
@@ -165,18 +76,17 @@ void bm_coroutine_hops(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * hops);
 }
+BENCHMARK(BM_CoroutineHops)->Arg(1024)->Arg(16384);
 
 // Zero-delay yield: many tasks repeatedly co_await sleep(0) at one
 // timestamp — the spawn-tree fairness pattern from the emu runtime
-// (parallel_apply, sync wakeups, semaphore grants).  The new engine routes
-// these through the FIFO fast lane; the legacy queue pays a heap
-// sift per yield.
-template <class EngineT>
-void bm_zero_delay_yield(benchmark::State& state) {
+// (parallel_apply, sync wakeups, semaphore grants).  The engine routes
+// these through the FIFO fast lane instead of a heap sift per yield.
+void BM_EngineZeroDelayYield(benchmark::State& state) {
   const int tasks = 64;
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
-    EngineT eng;
+    sim::Engine eng;
     std::vector<sim::Task> ts;
     ts.reserve(tasks);
     for (int i = 0; i < tasks; ++i) {
@@ -188,42 +98,7 @@ void bm_zero_delay_yield(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * tasks * hops);
 }
-
-void BM_EngineScheduleDrain(benchmark::State& s) {
-  bm_schedule_drain<sim::Engine>(s);
-}
-void BM_LegacyScheduleDrain(benchmark::State& s) {
-  bm_schedule_drain<LegacyEngine>(s);
-}
-BENCHMARK(BM_EngineScheduleDrain)->Arg(1024)->Arg(65536);
-BENCHMARK(BM_LegacyScheduleDrain)->Arg(1024)->Arg(65536);
-
-void BM_EngineCallbackHeavy(benchmark::State& s) {
-  bm_callback_heavy<sim::Engine>(s);
-}
-void BM_LegacyCallbackHeavy(benchmark::State& s) {
-  bm_callback_heavy<LegacyEngine>(s);
-}
-BENCHMARK(BM_EngineCallbackHeavy)->Arg(64)->Arg(1024);
-BENCHMARK(BM_LegacyCallbackHeavy)->Arg(64)->Arg(1024);
-
-void BM_CoroutineHops(benchmark::State& s) {
-  bm_coroutine_hops<sim::Engine>(s);
-}
-void BM_LegacyCoroutineHops(benchmark::State& s) {
-  bm_coroutine_hops<LegacyEngine>(s);
-}
-BENCHMARK(BM_CoroutineHops)->Arg(1024)->Arg(16384);
-BENCHMARK(BM_LegacyCoroutineHops)->Arg(1024)->Arg(16384);
-
-void BM_EngineZeroDelayYield(benchmark::State& s) {
-  bm_zero_delay_yield<sim::Engine>(s);
-}
-void BM_LegacyZeroDelayYield(benchmark::State& s) {
-  bm_zero_delay_yield<LegacyEngine>(s);
-}
 BENCHMARK(BM_EngineZeroDelayYield)->Arg(256)->Arg(4096);
-BENCHMARK(BM_LegacyZeroDelayYield)->Arg(256)->Arg(4096);
 
 // --- engine reuse vs cold start (Engine::reset + reserve) -----------------
 //
@@ -266,7 +141,7 @@ void BM_EngineReuse(benchmark::State& state) {
 BENCHMARK(BM_EngineCold)->Arg(1024)->Arg(65536);
 BENCHMARK(BM_EngineReuse)->Arg(1024)->Arg(65536);
 
-// --- component microbenchmarks (unchanged scenarios) ----------------------
+// --- component microbenchmarks ---------------------------------------------
 
 void BM_FifoServerPost(benchmark::State& state) {
   sim::Engine eng;
@@ -304,75 +179,6 @@ void BM_CacheLookupHit(benchmark::State& state) {
 }
 BENCHMARK(BM_CacheLookupHit);
 
-// Forwards google-benchmark's console output unchanged while mirroring each
-// run into the shared harness, so micro_simcore emits the same CSV/JSON
-// schema as the figure benches.  Series = benchmark name up to the '/',
-// x = the Arg after it (0 for argless benchmarks), y = M items/s.
-class CaptureReporter : public benchmark::ConsoleReporter {
- public:
-  explicit CaptureReporter(bench::Harness& h) : h_(h) {}
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    ConsoleReporter::ReportRuns(runs);
-    for (const auto& run : runs) {
-      if (run.run_type != Run::RT_Iteration || run.error_occurred) continue;
-      const std::string name = run.benchmark_name();
-      std::string series = name;
-      double x = 0;
-      if (const auto slash = name.find('/'); slash != std::string::npos) {
-        series = name.substr(0, slash);
-        x = std::atof(name.c_str() + slash + 1);
-      }
-      double mips = 0;
-      if (const auto it = run.counters.find("items_per_second");
-          it != run.counters.end()) {
-        mips = it->second.value / 1e6;
-      }
-      h_.add(series, x, mips,
-             {{"real_time_ns", run.GetAdjustedRealTime()},
-              {"iterations", static_cast<double>(run.iterations)}});
-    }
-  }
-
- private:
-  bench::Harness& h_;
-};
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  // The harness consumes the common flags; anything starting with
-  // --benchmark_ passes through to google-benchmark untouched.
-  bench::Harness h("micro_simcore", argc, argv, "--benchmark_");
-  h.axes("arg", "m_items_per_sec");
-  h.table("Simulator-core microbenchmarks (M items/s)", 2);
-  h.config("quick", h.quick() ? "1" : "0");
-  // Every y here is host-wall-clock-derived, so benchdiff reports but never
-  // gates on this bench.
-  h.mark_wall_clock_y();
-
-  std::vector<std::string> fwd_storage;
-  fwd_storage.push_back(argv[0]);
-  bool have_min_time = false;
-  for (const auto& flag : h.opt().passthrough) {
-    if (flag.rfind("--benchmark_min_time", 0) == 0) have_min_time = true;
-    fwd_storage.push_back(flag);
-  }
-  // --quick caps measurement time per item unless the caller already chose.
-  if (h.quick() && !have_min_time) {
-    fwd_storage.push_back("--benchmark_min_time=0.01");
-  }
-  if (!h.opt().filter.empty()) {
-    fwd_storage.push_back("--benchmark_filter=" + h.opt().filter);
-  }
-  std::vector<char*> fwd;
-  fwd.reserve(fwd_storage.size());
-  for (auto& s : fwd_storage) fwd.push_back(s.data());
-  int fwd_argc = static_cast<int>(fwd.size());
-
-  benchmark::Initialize(&fwd_argc, fwd.data());
-  CaptureReporter reporter(h);
-  benchmark::RunSpecifiedBenchmarks(&reporter);
-  benchmark::Shutdown();
-  return h.done();
-}
+BENCHMARK_MAIN();

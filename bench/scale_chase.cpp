@@ -74,7 +74,7 @@ int main(int argc, char** argv) {
                                  (shuffled ? "_shuf" : "_seq");
       if (!h.enabled(series)) continue;
       for (int log2n : log2_ns) {
-        pool.submit([&h, series, nlets, shuffled, log2n, elems_per_thread,
+        pool.submit([series, nlets, shuffled, log2n, elems_per_thread,
                      block](bench::PointSink& sink) {
           const auto cfg = emu::SystemConfig::chick_fullspeed_nx(nlets);
           ChaseScaleParams p;
@@ -85,8 +85,7 @@ int main(int argc, char** argv) {
           p.shuffled = shuffled;
           emu::take_run_telemetry();  // drop any prior machines' counts
           const double w0 = wall_now();
-          const auto r = bench::repeated(
-              h, [&] { return kernels::run_chase_scale(cfg, p); });
+          const auto r = kernels::run_chase_scale(cfg, p);
           const double wall = wall_now() - w0;
           const emu::RunTelemetry tel = emu::take_run_telemetry();
           if (!r.verified) sink.fail(series + ": checksum mismatch");

@@ -104,12 +104,10 @@ int main(int argc, char** argv) {
                                {"xeon", false, nullptr, &xeon_cfg},
                                {"emu2", true, &emu2_cfg, nullptr}};
 
-  auto run_point = [&h](bench::PointSink& sink, const Backend& be,
-                        const serve::ServeParams& p) {
-    const auto r = bench::repeated(h, [&] {
-      return be.is_emu ? serve::serve_emu(*be.emu, p)
-                       : serve::serve_xeon(*be.xeon, p);
-    });
+  auto run_point = [](bench::PointSink& sink, const Backend& be,
+                      const serve::ServeParams& p) {
+    const auto r = be.is_emu ? serve::serve_emu(*be.emu, p)
+                             : serve::serve_xeon(*be.xeon, p);
     if (!r.verified) {
       sink.fail(be.series + " serve verification failed: " + r.error);
     }

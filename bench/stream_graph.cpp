@@ -93,12 +93,10 @@ int main(int argc, char** argv) {
                                {"xeon", false, nullptr, &xeon_cfg},
                                {"emu2", true, &emu2_cfg, nullptr}};
 
-  auto run_point = [&h](bench::PointSink& sink, const Backend& be,
-                        const graph::StreamParams& p) {
-    const auto r = bench::repeated(h, [&] {
-      return be.is_emu ? graph::stream_emu(*be.emu, p)
-                       : graph::stream_xeon(*be.xeon, p);
-    });
+  auto run_point = [](bench::PointSink& sink, const Backend& be,
+                      const graph::StreamParams& p) {
+    const auto r = be.is_emu ? graph::stream_emu(*be.emu, p)
+                             : graph::stream_xeon(*be.xeon, p);
     if (!r.verified) {
       sink.fail(be.series + " streaming oracle check failed: " + r.error);
     }
@@ -179,8 +177,7 @@ int main(int argc, char** argv) {
         if (h.enabled("tc_emu")) {
           kernels::TcEmuParams p;
           p.g = &g;
-          const auto r =
-              bench::repeated(h, [&] { return run_tc_emu(emu_cfg, p); });
+          const auto r = run_tc_emu(emu_cfg, p);
           if (!r.verified) {
             sink.fail("tc_emu count mismatch vs reference");
           }
@@ -193,8 +190,7 @@ int main(int argc, char** argv) {
         if (h.enabled("tc_xeon")) {
           kernels::TcXeonParams p;
           p.g = &g;
-          const auto r =
-              bench::repeated(h, [&] { return run_tc_xeon(xeon_cfg, p); });
+          const auto r = run_tc_xeon(xeon_cfg, p);
           if (!r.verified) {
             sink.fail("tc_xeon count mismatch vs reference");
           }

@@ -60,14 +60,9 @@ DiffReport diff_results(const std::vector<BenchResult>& baseline,
         } else {
           e.delta_pct = cp->y == 0.0 ? 0.0 : 100.0;
         }
-        // Wall-clock-derived metrics (y_wall_clock) are reported but never
-        // gated: host throughput varies run to run, unlike simulated time.
-        e.wall_clock = base.y_wall_clock || cand->y_wall_clock;
-        e.regression = !e.wall_clock && e.delta_pct < -opt.max_regress_pct;
+        e.regression = e.delta_pct < -opt.max_regress_pct;
         if (e.regression) ++rep.regressions;
-        if (!e.wall_clock && e.delta_pct > opt.max_regress_pct) {
-          ++rep.improvements;
-        }
+        if (e.delta_pct > opt.max_regress_pct) ++rep.improvements;
         // Tail-latency summaries and the engine-speed/footprint metrics
         // (engine_events, events_per_sec, mem_peak_bytes) ride along as
         // report-only entries (see DiffEntry::report_only): deltas show in

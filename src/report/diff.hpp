@@ -33,16 +33,12 @@ struct DiffEntry {
   double cand_y = 0.0;
   double delta_pct = 0.0;  ///< (cand - base) / base * 100
   bool regression = false;
-  /// True when this point's y is wall-clock-derived (y_wall_clock on either
-  /// result): compared for the report, but never gated — host throughput is
-  /// not deterministic and must not fail CI against a committed baseline.
-  bool wall_clock = false;
   /// True for tail-latency extras (lat_* metrics on serving benches):
   /// compared and printed so a PR's percentile shifts are visible in the
-  /// diff, but never gated — like wall-clock, by policy rather than
-  /// nondeterminism.  Percentiles move with deliberate latency-model
-  /// recalibration and histogram bucket resolution; the throughput y and
-  /// the shape gates (tools/shapes) are the pass/fail line.
+  /// diff, but never gated, by policy rather than nondeterminism.
+  /// Percentiles move with deliberate latency-model recalibration and
+  /// histogram bucket resolution; the throughput y and the shape gates
+  /// (tools/shapes) are the pass/fail line.
   bool report_only = false;
 };
 

@@ -395,7 +395,7 @@ void BenchObserver::machine_finished(emu::Machine& m, Time elapsed) {
   if (tracing() && m.trace.enabled()) {
     // Keep the busiest run (most events observed, retained or not): a bench
     // sweeps many machine runs and the densest one is the one worth opening
-    // in Perfetto.  Ties go to the newer run (past any warmup reps).
+    // in Perfetto.  Ties go to the newer run.
     const std::uint64_t observed = m.trace.size() + m.trace.dropped();
     if (observed >=
         last_trace_.size() + last_trace_.dropped()) {

@@ -71,10 +71,8 @@ Json BenchResult::to_json() const {
   j.set("schema_version", Json::number(schema_version));
   j.set("bench", Json::string(bench));
   j.set("quick", Json::boolean(quick));
-  j.set("reps", Json::number(reps));
   j.set("wall_seconds", Json::number(wall_seconds));
   j.set("sim_seconds", Json::number(sim_seconds));
-  if (y_wall_clock) j.set("y_wall_clock", Json::boolean(true));
   j.set("fingerprint", Json::string(fingerprint));
 
   Json axes = Json::object();
@@ -129,10 +127,8 @@ bool BenchResult::from_json(const Json& j, BenchResult* out,
   r.bench = j.get_string("bench");
   if (r.bench.empty()) return fail("missing bench name");
   r.quick = j.get_bool("quick");
-  r.reps = static_cast<int>(j.get_number("reps", 1));
   r.wall_seconds = j.get_number("wall_seconds");
   r.sim_seconds = j.get_number("sim_seconds");
-  r.y_wall_clock = j.get_bool("y_wall_clock");
   r.fingerprint = j.get_string("fingerprint");
   if (const Json* axes = j.find("axes"); axes != nullptr) {
     r.x_axis = axes->get_string("x");

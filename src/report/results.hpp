@@ -42,14 +42,8 @@ struct BenchResult {
   std::string x_axis;  ///< what x means, e.g. "threads"
   std::string y_axis;  ///< what y means, e.g. "mb_per_sec"
   bool quick = false;
-  int reps = 1;
   double wall_seconds = 0.0;  ///< host wall-clock for the whole run
   double sim_seconds = 0.0;   ///< total simulated time across all points
-  /// True when the y metric itself is wall-clock-derived (host throughput,
-  /// as in micro_simcore) rather than simulated time or bandwidth.  Such
-  /// results are never deterministic, so tools/benchdiff reports but does
-  /// not gate on them.  Additive: absent in old files means false.
-  bool y_wall_clock = false;
   std::string fingerprint;    ///< hash of bench + config (see fingerprint())
   std::vector<std::pair<std::string, std::string>> config;
   std::vector<ResultSeries> series;
@@ -69,6 +63,8 @@ struct BenchResult {
   const ResultSeries* find(const std::string& name) const;
 
   Json to_json() const;
+  /// Unknown keys are ignored, so files that still carry retired fields
+  /// (such as "reps", which every committed baseline has) load unchanged.
   static bool from_json(const Json& j, BenchResult* out, std::string* err);
 
   /// Serialize to `path`.  Returns false (with a message on stderr) on I/O

@@ -109,17 +109,6 @@ class Engine {
     return now_;
   }
 
-  /// Run until no events remain with a timestamp <= `deadline`, then
-  /// advance the clock to `deadline` (callers that interleave run_until
-  /// with call_at(now() + dt, ...) rely on now() reflecting the full
-  /// interval even when the queue drains early).  A deadline in the past
-  /// never moves time backwards.
-  Time run_until(Time deadline) {
-    while (!idle() && next_when() <= deadline) step();
-    if (now_ < deadline) now_ = deadline;
-    return now_;
-  }
-
   /// Process all events with a timestamp strictly before `end`, leaving the
   /// clock at the last processed event rather than bumping it to `end`.
   /// Building block for the windowed parallel driver (EngineSet): a shard

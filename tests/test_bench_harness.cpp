@@ -10,6 +10,7 @@
 
 namespace {
 
+using emusim::bench::Harness;
 using emusim::bench::Options;
 using emusim::bench::parse_options;
 
@@ -32,13 +33,12 @@ TEST(ParseOptions, DefaultsWithNoFlags) {
   EXPECT_FALSE(opt.quick);
   EXPECT_TRUE(opt.csv_path.empty());
   EXPECT_TRUE(opt.json_path.empty());
-  EXPECT_EQ(opt.reps, 1);
   EXPECT_FALSE(opt.help);
 }
 
 TEST(ParseOptions, ParsesAllCommonFlags) {
   Argv a({"--quick", "--csv", "out.csv", "--json", "out.json", "--filter",
-          "spawn", "--reps", "3"});
+          "spawn"});
   Options opt;
   std::string err;
   ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
@@ -46,7 +46,6 @@ TEST(ParseOptions, ParsesAllCommonFlags) {
   EXPECT_EQ(opt.csv_path, "out.csv");
   EXPECT_EQ(opt.json_path, "out.json");
   EXPECT_EQ(opt.filter, "spawn");
-  EXPECT_EQ(opt.reps, 3);
 }
 
 TEST(ParseOptions, RejectsUnknownFlag) {
@@ -58,21 +57,12 @@ TEST(ParseOptions, RejectsUnknownFlag) {
 }
 
 TEST(ParseOptions, RejectsTrailingFlagMissingArgument) {
-  for (const char* flag : {"--csv", "--json", "--filter", "--reps"}) {
+  for (const char* flag : {"--csv", "--json", "--filter", "--jobs"}) {
     Argv a({flag});
     Options opt;
     std::string err;
     EXPECT_FALSE(parse_options(a.argc(), a.argv(), &opt, &err)) << flag;
     EXPECT_NE(err.find(flag), std::string::npos) << err;
-  }
-}
-
-TEST(ParseOptions, RejectsBadRepsValues) {
-  for (const char* reps : {"0", "-2", "abc", "3x"}) {
-    Argv a({"--reps", reps});
-    Options opt;
-    std::string err;
-    EXPECT_FALSE(parse_options(a.argc(), a.argv(), &opt, &err)) << reps;
   }
 }
 
@@ -146,20 +136,9 @@ TEST(ParseOptions, HelpFlagSetsHelp) {
   EXPECT_TRUE(opt.help);
 }
 
-TEST(ParseOptions, PassthroughPrefixCollectsForeignFlags) {
-  Argv a({"--quick", "--benchmark_filter=BM_Engine",
-          "--benchmark_min_time=0.5"});
-  Options opt;
-  std::string err;
-  ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err, "--benchmark_"))
-      << err;
-  EXPECT_TRUE(opt.quick);
-  ASSERT_EQ(opt.passthrough.size(), 2u);
-  EXPECT_EQ(opt.passthrough[0], "--benchmark_filter=BM_Engine");
-  EXPECT_EQ(opt.passthrough[1], "--benchmark_min_time=0.5");
-}
-
-TEST(ParseOptions, WithoutPrefixForeignFlagsAreErrors) {
+TEST(ParseOptions, RejectsBenchmarkFlags) {
+  // The figure benches record simulated points only; google-benchmark
+  // flags belong to micro_simcore and are unknown here.
   Argv a({"--benchmark_filter=BM_Engine"});
   Options opt;
   std::string err;
@@ -207,17 +186,31 @@ TEST(ParseOptions, RejectsMalformedObserveFlags) {
   }
 }
 
-TEST(ParseOptions, PassthroughPrefixWinsOverEqualsSplitting) {
-  // A foreign flag with '=' must be preserved verbatim, not split as if it
-  // were one of ours.
-  Argv a({"--benchmark_filter=BM_x", "--trace=t.json"});
-  Options opt;
-  std::string err;
-  ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err, "--benchmark_"))
-      << err;
-  ASSERT_EQ(opt.passthrough.size(), 1u);
-  EXPECT_EQ(opt.passthrough[0], "--benchmark_filter=BM_x");
-  EXPECT_EQ(opt.trace_path, "t.json");
+TEST(HarnessDeathTest, DuplicateXPointExitsNamingIt) {
+  // Every point is a deterministic simulated value recorded once; a second
+  // add at the same (series, x) is a bench bug, not a sample to average.
+  EXPECT_EXIT(
+      {
+        Argv a({});
+        Harness h("dup_test", a.argc(), a.argv());
+        h.add("emu", 4, 1.0);
+        h.add("xeon", 4, 2.0);  // same x, other series: fine
+        h.add("emu", 4, 3.0);
+      },
+      testing::ExitedWithCode(1), "duplicate point: series 'emu'.*x=4");
+}
+
+TEST(HarnessDeathTest, DuplicateLabelPointExitsNamingIt) {
+  EXPECT_EXIT(
+      {
+        Argv a({});
+        Harness h("dup_test", a.argc(), a.argv());
+        h.add_labeled("emu", "zipf", 1, 1.0);
+        h.add_labeled("emu", "uniform", 0, 2.0);
+        h.add_labeled("emu", "zipf", 1, 3.0);
+      },
+      testing::ExitedWithCode(1),
+      "duplicate point: series 'emu'.*label 'zipf'");
 }
 
 TEST(Usage, MentionsEveryFlag) {
@@ -225,7 +218,7 @@ TEST(Usage, MentionsEveryFlag) {
   EXPECT_NE(u.find("usage:"), std::string::npos);
   EXPECT_NE(u.find("some_bench"), std::string::npos);
   for (const char* flag :
-       {"--csv", "--json", "--quick", "--filter", "--reps", "--jobs",
+       {"--csv", "--json", "--quick", "--filter", "--jobs",
         "--trace", "--trace-cap", "--counters", "--help"}) {
     EXPECT_NE(u.find(flag), std::string::npos) << flag;
   }

@@ -118,45 +118,6 @@ TEST(Engine, NestedScheduling) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(Engine, RunUntilStopsAtDeadline) {
-  Engine eng;
-  int fired = 0;
-  eng.call_at(ns(10), [&] { ++fired; });
-  eng.call_at(ns(100), [&] { ++fired; });
-  eng.run_until(ns(50));
-  EXPECT_EQ(fired, 1);
-  EXPECT_FALSE(eng.idle());
-  eng.run();
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(Engine, RunUntilAdvancesClockToDeadline) {
-  Engine eng;
-  int fired = 0;
-  eng.call_at(ns(10), [&] { ++fired; });
-  // Next event past the deadline: the clock still advances to the deadline,
-  // so a caller's subsequent call_at(now() + dt, ...) lands where expected.
-  eng.call_at(ns(100), [&] { ++fired; });
-  eng.run_until(ns(50));
-  EXPECT_EQ(eng.now(), ns(50));
-  // Queue drained entirely before the deadline: same guarantee.
-  eng.run_until(ns(200));
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(eng.now(), ns(200));
-  eng.run_until(ns(300));
-  EXPECT_EQ(eng.now(), ns(300));
-  // A deadline in the past never moves time backwards.
-  eng.run_until(ns(40));
-  EXPECT_EQ(eng.now(), ns(300));
-  // Relative scheduling off the clamped clock observes the full interval.
-  eng.call_in(ns(5), [&] {
-    EXPECT_EQ(eng.now(), ns(305));
-    ++fired;
-  });
-  eng.run();
-  EXPECT_EQ(fired, 3);
-}
-
 TEST(Engine, SameTimestampOrderSpansHeapAndFifoLanes) {
   // Events 2 and 3 are scheduled for "now" from inside event 0 and take the
   // zero-delay FIFO fast lane; event 1 was scheduled earlier for the same

@@ -1,6 +1,6 @@
 // Unit tests for the parallel sweep runner: submission-order merge no
-// matter which worker finishes first, stable duplicate-point averaging
-// across jobs, and failure propagation through the merge barrier.
+// matter which worker finishes first, duplicate points failing the run,
+// and failure propagation through the merge barrier.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -62,20 +62,21 @@ TEST(SweepPool, JobsFlagControlsWorkerCount) {
   EXPECT_EQ(pool.jobs(), 3);
 }
 
-TEST(SweepPool, DuplicatePointsAverageStably) {
-  // Two jobs land on the same (series, x): the merge must average them in
-  // submission order, exactly as a serial --reps loop would.
-  Argv a({"--jobs", "2"});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
-  h.table("dups");
-  SweepPool pool(h);
-  pool.submit([](PointSink& sink) { sink.add("s", 1, 1.0); });
-  pool.submit([](PointSink& sink) { sink.add("s", 1, 2.0); });
-  std::string err;
-  ASSERT_TRUE(pool.drain(&err)) << err;
-  const auto& pts = h.result().series.at(0).points;
-  ASSERT_EQ(pts.size(), 1u);
-  EXPECT_DOUBLE_EQ(pts[0].y, 1.5);
+TEST(SweepPoolDeathTest, DuplicatePointFailsTheRun) {
+  // Two jobs land on the same (series, x): the merge must fail the run
+  // naming the point, not average or keep either value.
+  EXPECT_EXIT(
+      {
+        Argv a({"--jobs", "2"});
+        Harness h("sweep_pool_test", a.argc(), a.argv());
+        h.table("dups");
+        SweepPool pool(h);
+        pool.submit([](PointSink& sink) { sink.add("s", 1, 1.0); });
+        pool.submit([](PointSink& sink) { sink.add("s", 1, 2.0); });
+        std::string err;
+        pool.drain(&err);
+      },
+      testing::ExitedWithCode(1), "duplicate point: series 's'.*x=1");
 }
 
 TEST(SweepPool, FailPropagatesToDrain) {

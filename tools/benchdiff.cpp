@@ -115,7 +115,6 @@ int main(int argc, char** argv) {
     std::printf("%s %s/%s %s: %.4g -> %.4g (%+.2f%%)\n",
                 e.regression     ? "REGRESSION"
                 : e.report_only  ? "latency   "
-                : e.wall_clock   ? "wall-clock"
                                  : "ok        ",
                 e.bench.c_str(), what.c_str(), pt.c_str(), e.base_y,
                 e.cand_y, e.delta_pct);

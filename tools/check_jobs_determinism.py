@@ -3,8 +3,8 @@
 
 Runs the given bench binary twice — with the chosen parallelism flag at 1
 and at N — captures the JSON result of each, strips the host-wall-clock
-fields (wall_seconds, and the y/extras of any series marked y_wall_clock),
-and requires the remainder to be byte-identical.
+fields (wall_seconds and the events_per_sec point extra), and requires the
+remainder to be byte-identical.
 
 Two flags carry that guarantee and both are gated with this script:
 
@@ -29,16 +29,9 @@ import os
 
 def strip_wall_fields(result):
     result.pop("wall_seconds", None)
-    if result.pop("y_wall_clock", False):
-        # Wall-clock y values (micro_simcore) are expected to vary run to
-        # run; only the sweep structure is checked for such benches.
-        for series in result.get("series", []):
-            for point in series.get("points", []):
-                point.pop("y", None)
-                point.pop("extra", None)
     # events_per_sec is engine_events over host wall time: the only
-    # wall-derived point extra on simulated-metric benches.  engine_events
-    # and mem_peak_bytes stay — both are deterministic and must match.
+    # wall-derived point extra.  engine_events and mem_peak_bytes stay —
+    # both are deterministic and must match.
     for series in result.get("series", []):
         for point in series.get("points", []):
             extra = point.get("extra")

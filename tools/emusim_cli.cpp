@@ -14,10 +14,14 @@
 //
 // Overrides (Emu configs): --gc-mhz, --mig-per-sec, --mig-latency-us.
 // `--n` is log2 of the element count for stream/chase/gups.  A key the
-// chosen subcommand and platform never read is a usage error (exit 2).
+// chosen subcommand and platform never read, a number that does not parse
+// or is out of its key's range, and a name outside a key's list are all
+// usage errors (exit 2, naming the key).
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <map>
 #include <set>
 #include <string>
@@ -40,6 +44,12 @@ namespace {
 
 [[noreturn]] void usage(const char* msg = nullptr);
 
+/// Largest accepted log2 element count (--n, --updates, --scale): 16 Mi
+/// elements, 4x the largest figure sweep, keeps the shift defined and the
+/// host arrays to a few hundred MB.
+constexpr long long kMaxLog2 = 24;
+constexpr long long kMaxCount = 1LL << kMaxLog2;
+
 struct Args {
   std::string benchmark;
   std::map<std::string, std::string> opts;
@@ -50,14 +60,51 @@ struct Args {
     read.insert(k);
     return opts.count(k) > 0;
   }
-  std::string str(const std::string& k, const std::string& dflt) const {
-    return has(k) ? opts.at(k) : dflt;
+  /// --k as an integer in [lo, hi], or `dflt` when absent.
+  long long num(const std::string& k, long long dflt, long long lo,
+                long long hi) const {
+    if (!has(k)) return dflt;
+    const std::string& v = opts.at(k);
+    char* end = nullptr;
+    errno = 0;
+    const long long x = std::strtoll(v.c_str(), &end, 10);
+    if (end == v.c_str() || *end != '\0' || errno == ERANGE || x < lo ||
+        x > hi) {
+      bad_value(k, "an integer in [" + std::to_string(lo) + ", " +
+                       std::to_string(hi) + "]");
+    }
+    return x;
   }
-  long long num(const std::string& k, long long dflt) const {
-    return has(k) ? std::atoll(opts.at(k).c_str()) : dflt;
+  /// --k as a real in [lo, hi] (never NaN), or `dflt` when absent.
+  double real(const std::string& k, double dflt, double lo, double hi) const {
+    if (!has(k)) return dflt;
+    const std::string& v = opts.at(k);
+    char* end = nullptr;
+    const double x = std::strtod(v.c_str(), &end);
+    if (end == v.c_str() || *end != '\0' || !(x >= lo && x <= hi)) {
+      char range[64];
+      std::snprintf(range, sizeof range, "a number in [%g, %g]", lo, hi);
+      bad_value(k, range);
+    }
+    return x;
   }
-  double real(const std::string& k, double dflt) const {
-    return has(k) ? std::atof(opts.at(k).c_str()) : dflt;
+  /// --k as one of `names` (the first is the default).
+  std::string choice(const std::string& k,
+                     std::initializer_list<const char*> names) const {
+    if (!has(k)) return *names.begin();
+    const std::string& v = opts.at(k);
+    std::string list;
+    for (const char* n : names) {
+      if (v == n) return v;
+      list += (list.empty() ? "" : "|") + std::string(n);
+    }
+    bad_value(k, "one of " + list);
+  }
+  [[noreturn]] void bad_value(const std::string& k,
+                              const std::string& want) const {
+    const std::string msg =
+        "--" + k + " wants " + want + ", got '" + opts.at(k) + "'";
+    usage(msg.c_str());
   }
 
   /// Exit 2 on the first given key no accessor has looked up.  Subcommands
@@ -88,7 +135,7 @@ class CounterPrinter : public emu::MachineObserver {
                "mttkrp> [--key value ...]\n"
                "  common: --platform emu|xeon  --config <name>  --threads N\n"
                "          --counters (print the per-nodelet report, emu)\n"
-               "  sizes:  --n LOG2  --block B  --lap-n N  --grain G "
+               "  sizes:  --n LOG2 (0..24)  --block B  --lap-n N  --grain G "
                "--rank R\n"
                "  emu configs: chick_hw chick_as_simulated chick_fullspeed "
                "chick_fullspeed8\n"
@@ -118,25 +165,25 @@ Args parse(int argc, char** argv) {
 /// The Emu config named by --config with its overrides applied.  Also
 /// installs the --counters report for the machines the run builds.
 emu::SystemConfig emu_config(const Args& a) {
-  const std::string name = a.str("config", "chick_hw");
-  emu::SystemConfig cfg;
-  if (name == "chick_hw") {
-    cfg = emu::SystemConfig::chick_hw();
-  } else if (name == "chick_as_simulated") {
+  const std::string name =
+      a.choice("config", {"chick_hw", "chick_as_simulated", "chick_fullspeed",
+                          "chick_fullspeed8"});
+  emu::SystemConfig cfg = emu::SystemConfig::chick_hw();
+  if (name == "chick_as_simulated") {
     cfg = emu::SystemConfig::chick_as_simulated();
   } else if (name == "chick_fullspeed") {
     cfg = emu::SystemConfig::chick_fullspeed();
   } else if (name == "chick_fullspeed8") {
     cfg = emu::SystemConfig::fullspeed_multinode(8);
-  } else {
-    usage("unknown emu config");
   }
-  if (a.has("gc-mhz")) cfg.gc_clock_hz = a.real("gc-mhz", 150) * 1e6;
+  if (a.has("gc-mhz")) {
+    cfg.gc_clock_hz = a.real("gc-mhz", 150, 1, 1e5) * 1e6;
+  }
   if (a.has("mig-per-sec")) {
-    cfg.migrations_per_sec = a.real("mig-per-sec", 9e6);
+    cfg.migrations_per_sec = a.real("mig-per-sec", 9e6, 1, 1e12);
   }
   if (a.has("mig-latency-us")) {
-    cfg.migration_latency = us(a.real("mig-latency-us", 1.4));
+    cfg.migration_latency = us(a.real("mig-latency-us", 1.4, 0, 1e6));
   }
   if (a.has("counters")) {
     static CounterPrinter printer;
@@ -146,10 +193,23 @@ emu::SystemConfig emu_config(const Args& a) {
 }
 
 xeon::SystemConfig xeon_config(const Args& a) {
-  const std::string name = a.str("config", "sandy_bridge");
-  if (name == "sandy_bridge") return xeon::SystemConfig::sandy_bridge();
-  if (name == "haswell") return xeon::SystemConfig::haswell();
-  usage("unknown xeon config");
+  return a.choice("config", {"sandy_bridge", "haswell"}) == "haswell"
+             ? xeon::SystemConfig::haswell()
+             : xeon::SystemConfig::sandy_bridge();
+}
+
+int threads(const Args& a, int dflt) {
+  return static_cast<int>(a.num("threads", dflt, 1, 1 << 20));
+}
+
+/// The chase list is cut into whole blocks and every thread walks at least
+/// one, so --block must divide 2^n and --threads must not exceed the
+/// block count.
+void check_chase_shape(std::size_t n, std::size_t block, int nthreads) {
+  if (n % block != 0) usage("--block must divide the 2^n element count");
+  if (static_cast<std::size_t>(nthreads) > n / block) {
+    usage("--threads must not exceed the block count 2^n / --block");
+  }
 }
 
 void print_summary(const char* what, double value, const char* unit,
@@ -159,11 +219,11 @@ void print_summary(const char* what, double value, const char* unit,
 }
 
 int run_stream(const Args& a) {
-  const auto n = std::size_t{1} << a.num("n", 19);
-  if (a.str("platform", "emu") == "xeon") {
+  const auto n = std::size_t{1} << a.num("n", 19, 0, kMaxLog2);
+  if (a.choice("platform", {"emu", "xeon"}) == "xeon") {
     kernels::StreamXeonParams p;
     p.n = n;
-    p.threads = static_cast<int>(a.num("threads", 16));
+    p.threads = threads(a, 16);
     const auto cfg = xeon_config(a);
     a.reject_unread();
     const auto r = kernels::run_stream_xeon(cfg, p);
@@ -172,8 +232,10 @@ int run_stream(const Args& a) {
   }
   kernels::StreamParams p;
   p.n = n;
-  p.threads = static_cast<int>(a.num("threads", 512));
-  const std::string strat = a.str("strategy", "recursive_remote_spawn");
+  p.threads = threads(a, 512);
+  const std::string strat =
+      a.choice("strategy", {"recursive_remote_spawn", "serial_spawn",
+                            "recursive_spawn", "serial_remote_spawn"});
   if (strat == "serial_spawn") {
     p.strategy = kernels::SpawnStrategy::serial_spawn;
   } else if (strat == "recursive_spawn") {
@@ -183,7 +245,7 @@ int run_stream(const Args& a) {
   } else {
     p.strategy = kernels::SpawnStrategy::recursive_remote_spawn;
   }
-  p.across = static_cast<int>(a.num("across", 0));
+  p.across = static_cast<int>(a.num("across", 0, 0, 1 << 16));
   const auto cfg = emu_config(a);
   a.reject_unread();
   const auto r = kernels::run_stream_add(cfg, p);
@@ -195,7 +257,9 @@ int run_stream(const Args& a) {
 }
 
 kernels::ShuffleMode parse_mode(const Args& a) {
-  const std::string m = a.str("mode", "full_block_shuffle");
+  const std::string m =
+      a.choice("mode", {"full_block_shuffle", "none", "intra_block_shuffle",
+                        "block_shuffle"});
   if (m == "none") return kernels::ShuffleMode::none;
   if (m == "intra_block_shuffle") {
     return kernels::ShuffleMode::intra_block_shuffle;
@@ -205,11 +269,12 @@ kernels::ShuffleMode parse_mode(const Args& a) {
 }
 
 int run_chase(const Args& a) {
-  if (a.str("platform", "emu") == "xeon") {
+  if (a.choice("platform", {"emu", "xeon"}) == "xeon") {
     kernels::ChaseXeonParams p;
-    p.n = std::size_t{1} << a.num("n", 21);
-    p.block = static_cast<std::size_t>(a.num("block", 64));
-    p.threads = static_cast<int>(a.num("threads", 32));
+    p.n = std::size_t{1} << a.num("n", 21, 0, kMaxLog2);
+    p.block = static_cast<std::size_t>(a.num("block", 64, 1, kMaxCount));
+    p.threads = threads(a, 32);
+    check_chase_shape(p.n, p.block, p.threads);
     p.mode = parse_mode(a);
     const auto cfg = xeon_config(a);
     a.reject_unread();
@@ -219,9 +284,10 @@ int run_chase(const Args& a) {
     return r.verified ? 0 : 1;
   }
   kernels::ChaseEmuParams p;
-  p.n = std::size_t{1} << a.num("n", 17);
-  p.block = static_cast<std::size_t>(a.num("block", 64));
-  p.threads = static_cast<int>(a.num("threads", 512));
+  p.n = std::size_t{1} << a.num("n", 17, 0, kMaxLog2);
+  p.block = static_cast<std::size_t>(a.num("block", 64, 1, kMaxCount));
+  p.threads = threads(a, 512);
+  check_chase_shape(p.n, p.block, p.threads);
   p.mode = parse_mode(a);
   const auto cfg = emu_config(a);
   a.reject_unread();
@@ -232,13 +298,14 @@ int run_chase(const Args& a) {
 }
 
 int run_spmv(const Args& a) {
-  const auto n = static_cast<std::size_t>(a.num("lap-n", 100));
-  if (a.str("platform", "emu") == "xeon") {
+  const auto n = static_cast<std::size_t>(a.num("lap-n", 100, 1, 4096));
+  if (a.choice("platform", {"emu", "xeon"}) == "xeon") {
     kernels::SpmvXeonParams p;
     p.laplacian_n = n;
-    p.threads = static_cast<int>(a.num("threads", 56));
-    p.grain = static_cast<std::size_t>(a.num("grain", 16384));
-    const std::string impl = a.str("impl", "mkl");
+    p.threads = threads(a, 56);
+    p.grain = static_cast<std::size_t>(a.num("grain", 16384, 1, kMaxCount));
+    const std::string impl =
+        a.choice("impl", {"mkl", "cilk_for", "cilk_spawn"});
     p.impl = impl == "cilk_for"
                  ? kernels::SpmvXeonImpl::cilk_for
                  : impl == "cilk_spawn" ? kernels::SpmvXeonImpl::cilk_spawn
@@ -251,8 +318,8 @@ int run_spmv(const Args& a) {
   }
   kernels::SpmvEmuParams p;
   p.laplacian_n = n;
-  p.grain = static_cast<std::size_t>(a.num("grain", 16));
-  const std::string layout = a.str("layout", "2d");
+  p.grain = static_cast<std::size_t>(a.num("grain", 16, 1, kMaxCount));
+  const std::string layout = a.choice("layout", {"2d", "1d", "local"});
   p.layout = layout == "local"
                  ? kernels::SpmvLayout::local
                  : layout == "1d" ? kernels::SpmvLayout::one_d
@@ -268,8 +335,9 @@ int run_spmv(const Args& a) {
 
 int run_pingpong(const Args& a) {
   kernels::PingPongParams p;
-  p.threads = static_cast<int>(a.num("threads", 64));
-  p.round_trips = static_cast<int>(a.num("round-trips", 1000));
+  p.threads = threads(a, 64);
+  p.round_trips =
+      static_cast<int>(a.num("round-trips", 1000, 1, kMaxCount));
   const auto cfg = emu_config(a);
   a.reject_unread();
   const auto r = kernels::run_pingpong(cfg, p);
@@ -280,17 +348,17 @@ int run_pingpong(const Args& a) {
 
 int run_gups(const Args& a) {
   kernels::GupsParams p;
-  p.table_words = std::size_t{1} << a.num("n", 20);
-  p.updates = std::size_t{1} << a.num("updates", 17);
-  if (a.str("platform", "emu") == "xeon") {
-    p.threads = static_cast<int>(a.num("threads", 32));
+  p.table_words = std::size_t{1} << a.num("n", 20, 0, kMaxLog2);
+  p.updates = std::size_t{1} << a.num("updates", 17, 0, kMaxLog2);
+  if (a.choice("platform", {"emu", "xeon"}) == "xeon") {
+    p.threads = threads(a, 32);
     const auto cfg = xeon_config(a);
     a.reject_unread();
     const auto r = kernels::run_gups_xeon(cfg, p);
     print_summary("GUPS", r.giga_updates_per_sec, "GUPS", r.elapsed);
     return r.verified ? 0 : 1;
   }
-  p.threads = static_cast<int>(a.num("threads", 512));
+  p.threads = threads(a, 512);
   const auto cfg = emu_config(a);
   a.reject_unread();
   const auto r = kernels::run_gups_emu(cfg, p);
@@ -299,19 +367,21 @@ int run_gups(const Args& a) {
 }
 
 int run_bfs(const Args& a) {
-  const std::string kind = a.str("graph", "rmat");
+  const std::string kind = a.choice("graph", {"rmat", "grid", "uniform"});
   graph::Graph g;
   if (kind == "grid") {
-    g = graph::make_grid_2d(static_cast<std::size_t>(a.num("side", 64)));
+    g = graph::make_grid_2d(
+        static_cast<std::size_t>(a.num("side", 64, 1, 4096)));
   } else if (kind == "uniform") {
     g = graph::make_uniform_random(
-        static_cast<std::size_t>(a.num("vertices", 16384)),
-        a.real("degree", 16.0), 5);
+        static_cast<std::size_t>(a.num("vertices", 16384, 1, kMaxCount)),
+        a.real("degree", 16.0, 0, 1024), 5);
   } else {
-    g = graph::make_rmat(static_cast<int>(a.num("scale", 12)),
-                         static_cast<int>(a.num("edge-factor", 16)), 5);
+    g = graph::make_rmat(static_cast<int>(a.num("scale", 12, 1, kMaxLog2)),
+                         static_cast<int>(a.num("edge-factor", 16, 1, 64)), 5);
   }
-  std::size_t source = static_cast<std::size_t>(a.num("source", 0));
+  const auto last = static_cast<long long>(g.num_vertices) - 1;
+  std::size_t source = static_cast<std::size_t>(a.num("source", 0, 0, last));
   if (kind == "rmat" && !a.has("source")) {
     for (std::size_t v = 0; v < g.num_vertices; ++v) {
       if (g.degree(v) > g.degree(source)) source = v;
@@ -330,14 +400,15 @@ int run_bfs(const Args& a) {
 }
 
 int run_mttkrp(const Args& a) {
-  const auto dim = static_cast<std::size_t>(a.num("dim", 256));
+  const auto dim = static_cast<std::size_t>(a.num("dim", 256, 1, 4096));
   const auto x = tensor::make_random_tensor(
-      dim, dim, dim, static_cast<std::size_t>(a.num("nnz", 100000)), 31);
-  if (a.str("platform", "emu") == "xeon") {
+      dim, dim, dim,
+      static_cast<std::size_t>(a.num("nnz", 100000, 1, kMaxCount)), 31);
+  if (a.choice("platform", {"emu", "xeon"}) == "xeon") {
     kernels::MttkrpXeonParams p;
     p.x = &x;
-    p.rank = static_cast<int>(a.num("rank", 8));
-    p.threads = static_cast<int>(a.num("threads", 56));
+    p.rank = static_cast<int>(a.num("rank", 8, 1, 1024));
+    p.threads = threads(a, 56);
     const auto cfg = xeon_config(a);
     a.reject_unread();
     const auto r = kernels::run_mttkrp_xeon(cfg, p);
@@ -346,9 +417,10 @@ int run_mttkrp(const Args& a) {
   }
   kernels::MttkrpEmuParams p;
   p.x = &x;
-  p.rank = static_cast<int>(a.num("rank", 8));
-  p.layout = a.str("layout", "2d") == "1d" ? kernels::MttkrpLayout::one_d
-                                           : kernels::MttkrpLayout::two_d;
+  p.rank = static_cast<int>(a.num("rank", 8, 1, 1024));
+  p.layout = a.choice("layout", {"2d", "1d"}) == "1d"
+                 ? kernels::MttkrpLayout::one_d
+                 : kernels::MttkrpLayout::two_d;
   const auto cfg = emu_config(a);
   a.reject_unread();
   const auto r = kernels::run_mttkrp_emu(cfg, p);
