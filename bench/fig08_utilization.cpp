@@ -40,8 +40,14 @@ int main(int argc, char** argv) {
 
   std::printf("Measured STREAM peaks: Emu %.1f MB/s, Sandy Bridge %.1f MB/s\n",
               emu_peak.mb_per_sec, snb_peak.mb_per_sec);
-  h.config("emu_stream_peak_mbps", report::json_number(emu_peak.mb_per_sec));
-  h.config("xeon_stream_peak_mbps", report::json_number(snb_peak.mb_per_sec));
+  // The fingerprint covers the STREAM inputs, never the measured peaks: a
+  // model change that moves a peak must be diffed, not skipped as a config
+  // mismatch.
+  h.config("emu_stream_n", static_cast<long long>(esp.n));
+  h.config("emu_stream_threads", static_cast<long long>(esp.threads));
+  h.config("emu_stream_strategy", kernels::to_string(esp.strategy));
+  h.config("xeon_stream_n", static_cast<long long>(xsp.n));
+  h.config("xeon_stream_threads", static_cast<long long>(xsp.threads));
 
   const std::vector<std::size_t> blocks =
       h.quick() ? std::vector<std::size_t>{1, 64, 1024}

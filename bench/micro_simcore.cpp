@@ -4,7 +4,6 @@
 // scenarios with --benchmark_filter, write JSON with --benchmark_out.
 #include <benchmark/benchmark.h>
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -99,47 +98,6 @@ void BM_EngineZeroDelayYield(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * tasks * hops);
 }
 BENCHMARK(BM_EngineZeroDelayYield)->Arg(256)->Arg(4096);
-
-// --- engine reuse vs cold start (Engine::reset + reserve) -----------------
-//
-// The sweep workers keep a per-thread footprint hint and pre-size each
-// machine's engine from the previous point (machine.cpp).  This pair
-// measures what that buys: Cold constructs a fresh engine per simulation;
-// Reuse resets one engine and re-reserves the last observed footprint, so
-// the heap/FIFO/slot storage never reallocates after the first run.
-
-void saturate_engine(sim::Engine& eng, int batch) {
-  for (int i = 0; i < batch; ++i) {
-    eng.call_at(static_cast<Time>(i % 64), [] {});
-  }
-  eng.run();
-}
-
-void BM_EngineCold(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    sim::Engine eng;
-    saturate_engine(eng, batch);
-    benchmark::DoNotOptimize(eng.events_processed());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-
-void BM_EngineReuse(benchmark::State& state) {
-  const int batch = static_cast<int>(state.range(0));
-  sim::Engine eng;
-  std::size_t hint = 0;
-  for (auto _ : state) {
-    eng.reset();
-    if (hint > 0) eng.reserve(hint);
-    saturate_engine(eng, batch);
-    if (eng.footprint() > hint) hint = eng.footprint();
-    benchmark::DoNotOptimize(eng.events_processed());
-  }
-  state.SetItemsProcessed(state.iterations() * batch);
-}
-BENCHMARK(BM_EngineCold)->Arg(1024)->Arg(65536);
-BENCHMARK(BM_EngineReuse)->Arg(1024)->Arg(65536);
 
 // --- component microbenchmarks ---------------------------------------------
 

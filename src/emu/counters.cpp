@@ -82,10 +82,9 @@ std::string counters_report(Machine& m, Time elapsed) {
   }
   if (m.trace.enabled() && m.trace.truncated()) {
     appendf(out,
-            "trace TRUNCATED: %llu records %s — per-event aggregations "
-            "below stats are lower bounds\n",
-            static_cast<unsigned long long>(m.trace.dropped()),
-            m.trace.ring() ? "overwritten" : "dropped");
+            "trace TRUNCATED: %llu records overwritten — per-event "
+            "aggregations below stats are lower bounds\n",
+            static_cast<unsigned long long>(m.trace.dropped()));
   }
 
   appendf(out, "%-4s %10s %10s %10s %8s %8s %8s %6s %7s %6s\n", "nlet",

@@ -8,12 +8,6 @@ namespace {
 // threads and workers cannot see each other's machines.
 thread_local MachineObserver* g_machine_observer = nullptr;
 
-// Per-thread event-storage hint fed back from finished machines: a sweep
-// reusing one worker thread for same-shaped points pre-sizes the next
-// Engine to the largest footprint seen so far (a stable fixed point — see
-// sim::Engine::footprint()).
-thread_local std::size_t g_engine_footprint_hint = 0;
-
 // Per-thread intra-point engine parallelism (see set_engine_threads()).
 // Thread-local for the same reason as the observer: each sweep worker
 // decides independently how its machines run their shards.
@@ -69,11 +63,6 @@ Machine::Machine(const SystemConfig& cfg)
       cycle_(cfg.cycle()),
       next_tid_(set_.shards(), 0) {
   cfg.validate();
-  if (g_engine_footprint_hint > 0) {
-    for (int s = 0; s < num_shards(); ++s) {
-      shard_engine(s).reserve(g_engine_footprint_hint);
-    }
-  }
   if (num_shards() > 1) {
     shard_stats_.resize(set_.shards());
     trace_staging_.resize(set_.shards());
@@ -100,9 +89,6 @@ Machine::~Machine() {
   }
   for (int s = 0; s < num_shards(); ++s) {
     g_run_telemetry.engine_events += shard_engine(s).events_processed();
-    if (shard_engine(s).footprint() > g_engine_footprint_hint) {
-      g_engine_footprint_hint = shard_engine(s).footprint();
-    }
   }
   if (host_footprint_->peak() > g_run_telemetry.peak_host_bytes) {
     g_run_telemetry.peak_host_bytes = host_footprint_->peak();

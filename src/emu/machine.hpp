@@ -272,8 +272,8 @@ class Machine {
   void notify_child_done(Context* parent, int child_shard);
 
   MachineStats stats;
-  /// Optional event trace (see sim/trace.hpp); call trace.enable() (or
-  /// enable_ring) before run_root to capture per-nodelet event streams.
+  /// Optional event trace (see sim/trace.hpp); call trace.enable() before
+  /// run_root to capture per-nodelet event streams.
   sim::Tracer trace;
 
   /// Record a trace event from shard `shard`.  Single shard: straight into
@@ -696,8 +696,7 @@ namespace detail {
 
 /// The wrapper coroutine that hosts one threadlet: deliver the spawn packet,
 /// take a slot, pay startup cost, run the kernel body, implicit cilk_sync,
-/// release the slot.  The completion hook (installed by the spawner) then
-/// notifies the parent.
+/// release the slot, and notify the parent.
 template <class F>
 sim::Task thread_main(Machine* m, std::unique_ptr<Context> ctx, F body) {
   Context& c = *ctx;
@@ -728,8 +727,7 @@ sim::Task thread_main(Machine* m, std::unique_ptr<Context> ctx, F body) {
   c.depart();
   // Completion accounting happens here, inside the coroutine, where the
   // final shard is known: the parent notification must be routed to the
-  // parent's home shard, and a Task completion hook would fire after the
-  // frame (and this context) is gone.
+  // parent's home shard while this context is still alive.
   ++m->shard_stats(c.shard_).threads_completed;
   if (c.parent_ != nullptr) m->notify_child_done(c.parent_, c.shard_);
 }

@@ -180,9 +180,17 @@ std::string Json::dump(int indent) const {
 
 namespace {
 
+// Arrays and objects nest at most this deep: the parser recurses once per
+// level, so an unbounded depth would turn a hostile file into a stack
+// overflow instead of an error.  Result and shape files nest a few levels.
+constexpr int kMaxDepth = 256;
+
 struct Parser {
+  explicit Parser(const std::string& t) : text(t) {}
+
   const std::string& text;
   std::size_t pos = 0;
+  int depth = 0;
   std::string err;
 
   bool fail(const std::string& what) {
@@ -268,10 +276,51 @@ struct Parser {
     return fail("unterminated string");
   }
 
+  bool digits() {
+    const std::size_t start = pos;
+    while (pos < text.size() && text[pos] >= '0' && text[pos] <= '9') ++pos;
+    return pos > start;
+  }
+
+  /// A number exactly as the JSON grammar spells it —
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? — and finite as a
+  /// double.  strtod alone would also take NaN, Infinity, hex, a leading
+  /// '+', and overflow to inf, any of which silently disables a gate.
+  bool parse_number(Json* out) {
+    const std::size_t start = pos;
+    consume('-');
+    // A leading zero stands alone; any other integer part is [1-9][0-9]*.
+    if (!consume('0') && !digits()) {
+      return fail(pos == start ? "expected value" : "bad number");
+    }
+    if (consume('.') && !digits()) return fail("bad number fraction");
+    if (consume('e') || consume('E')) {
+      if (!consume('+')) consume('-');
+      if (!digits()) return fail("bad number exponent");
+    }
+    const std::string lexeme = text.substr(start, pos - start);
+    const double v = std::strtod(lexeme.c_str(), nullptr);
+    if (!std::isfinite(v)) {
+      pos = start;
+      return fail("number out of range");
+    }
+    *out = Json::number(v);
+    return true;
+  }
+
   bool parse_value(Json* out) {
     skip_ws();
     if (pos >= text.size()) return fail("unexpected end of input");
     char c = text[pos];
+    if (c == '[' || c == '{') {
+      if (depth == kMaxDepth) {
+        return fail("nesting deeper than " + std::to_string(kMaxDepth));
+      }
+      ++depth;
+      const bool ok = c == '[' ? parse_array(out) : parse_object(out);
+      --depth;
+      return ok;
+    }
     if (c == 'n') {
       if (!literal("null", 4)) return false;
       *out = Json();
@@ -293,56 +342,52 @@ struct Parser {
       *out = Json::string(std::move(s));
       return true;
     }
-    if (c == '[') {
-      ++pos;
-      Json arr = Json::array();
-      skip_ws();
-      if (consume(']')) {
-        *out = std::move(arr);
-        return true;
-      }
-      while (true) {
-        Json v;
-        if (!parse_value(&v)) return false;
-        arr.push_back(std::move(v));
-        skip_ws();
-        if (consume(']')) break;
-        if (!consume(',')) return fail("expected ',' or ']'");
-      }
+    return parse_number(out);
+  }
+
+  bool parse_array(Json* out) {
+    ++pos;
+    Json arr = Json::array();
+    skip_ws();
+    if (consume(']')) {
       *out = std::move(arr);
       return true;
     }
-    if (c == '{') {
-      ++pos;
-      Json obj = Json::object();
+    while (true) {
+      Json v;
+      if (!parse_value(&v)) return false;
+      arr.push_back(std::move(v));
       skip_ws();
-      if (consume('}')) {
-        *out = std::move(obj);
-        return true;
-      }
-      while (true) {
-        skip_ws();
-        std::string key;
-        if (!parse_string(&key)) return false;
-        skip_ws();
-        if (!consume(':')) return fail("expected ':'");
-        Json v;
-        if (!parse_value(&v)) return false;
-        obj.set(key, std::move(v));
-        skip_ws();
-        if (consume('}')) break;
-        if (!consume(',')) return fail("expected ',' or '}'");
-      }
+      if (consume(']')) break;
+      if (!consume(',')) return fail("expected ',' or ']'");
+    }
+    *out = std::move(arr);
+    return true;
+  }
+
+  bool parse_object(Json* out) {
+    ++pos;
+    Json obj = Json::object();
+    skip_ws();
+    if (consume('}')) {
       *out = std::move(obj);
       return true;
     }
-    // number
-    const char* start = text.c_str() + pos;
-    char* end = nullptr;
-    double v = std::strtod(start, &end);
-    if (end == start) return fail("expected value");
-    pos += static_cast<std::size_t>(end - start);
-    *out = Json::number(v);
+    while (true) {
+      skip_ws();
+      std::string key;
+      if (!parse_string(&key)) return false;
+      if (obj.find(key) != nullptr) return fail("duplicate key '" + key + "'");
+      skip_ws();
+      if (!consume(':')) return fail("expected ':'");
+      Json v;
+      if (!parse_value(&v)) return false;
+      obj.set(key, std::move(v));
+      skip_ws();
+      if (consume('}')) break;
+      if (!consume(',')) return fail("expected ',' or '}'");
+    }
+    *out = std::move(obj);
     return true;
   }
 };
@@ -350,7 +395,7 @@ struct Parser {
 }  // namespace
 
 bool Json::parse(const std::string& text, Json* out, std::string* err) {
-  Parser p{text};
+  Parser p(text);
   if (!p.parse_value(out)) {
     if (err != nullptr) *err = p.err;
     return false;

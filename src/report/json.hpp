@@ -60,7 +60,10 @@ class Json {
   std::string dump(int indent = 2) const;
 
   /// Parse `text` into `*out`.  Returns false and fills `*err` (with a byte
-  /// offset) on malformed input.  Trailing non-whitespace is an error.
+  /// offset) on malformed input.  Trailing non-whitespace, a number outside
+  /// the JSON grammar or beyond double range (NaN, Infinity, hex, a leading
+  /// '+', 1e400), a duplicate object key, and nesting deeper than 256
+  /// levels are all errors.
   static bool parse(const std::string& text, Json* out, std::string* err);
 
  private:

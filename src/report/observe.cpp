@@ -74,7 +74,6 @@ TraceAccounting trace_accounting(const sim::Tracer& t) {
   a.records = t.size();
   a.dropped = t.dropped();
   a.truncated = t.truncated();
-  a.ring = t.ring();
   return a;
 }
 
@@ -83,7 +82,6 @@ Json to_json(const TraceAccounting& a) {
   j.set("records", Json::number(static_cast<double>(a.records)));
   j.set("dropped", Json::number(static_cast<double>(a.dropped)));
   j.set("truncated", Json::boolean(a.truncated));
-  j.set("ring", Json::boolean(a.ring));
   return j;
 }
 
@@ -339,24 +337,6 @@ Json to_json(const emu::CounterDelta& d) {
   return j;
 }
 
-void PhaseTimeline::mark(emu::Machine& m, const std::string& phase) {
-  snaps_.push_back(emu::snapshot_counters(m, phase));
-}
-
-std::vector<emu::CounterDelta> PhaseTimeline::deltas() const {
-  std::vector<emu::CounterDelta> out;
-  for (std::size_t i = 1; i < snaps_.size(); ++i) {
-    out.push_back(emu::counters_delta(snaps_[i - 1], snaps_[i]));
-  }
-  return out;
-}
-
-Json PhaseTimeline::to_json() const {
-  Json arr = Json::array();
-  for (const auto& d : deltas()) arr.push_back(report::to_json(d));
-  return arr;
-}
-
 BenchObserver::BenchObserver(Options opt) : opt_(std::move(opt)) {
   prev_ = emu::set_machine_observer(this);
 }
@@ -364,7 +344,7 @@ BenchObserver::BenchObserver(Options opt) : opt_(std::move(opt)) {
 BenchObserver::~BenchObserver() { emu::set_machine_observer(prev_); }
 
 void BenchObserver::machine_created(emu::Machine& m) {
-  if (tracing()) m.trace.enable_ring(opt_.trace_capacity);
+  if (tracing()) m.trace.enable(opt_.trace_capacity);
   if (opt_.counters) starts_.emplace_back(&m, emu::snapshot_counters(m));
 }
 

@@ -11,9 +11,6 @@
 //     JSON loadable in https://ui.perfetto.dev (thread residency slices on
 //     per-nodelet tracks, migration flow arrows, counter tracks for
 //     resident threads and channel byte traffic).
-//   * PhaseTimeline marks named phases on a live machine and reports
-//     counter *deltas* between them, so warmup and measured traffic are
-//     attributed separately.
 //   * BenchObserver implements emu::MachineObserver for the harness's
 //     --trace/--counters flags: kernels construct machines internally, so
 //     observation attaches at machine construction, not call sites.
@@ -40,7 +37,6 @@ struct TraceAccounting {
   std::size_t records = 0;   ///< records exported
   std::uint64_t dropped = 0; ///< records the tracer lost before export
   bool truncated = false;
-  bool ring = false;
 };
 
 TraceAccounting trace_accounting(const sim::Tracer& t);
@@ -54,21 +50,6 @@ bool write_perfetto_trace(const sim::Tracer& t, int num_nodelets,
 /// Counter-delta JSON: machine totals, per-nodelet rows (arrivals, traffic,
 /// row-hit rate, channel utilization), migration matrix, truncation flag.
 Json to_json(const emu::CounterDelta& d);
-
-/// Named-phase counter snapshots over one live machine.  mark() snapshots
-/// now; deltas() yields the per-phase differences (phase i covers the
-/// window between mark i-1 and mark i; the first mark opens the timeline).
-class PhaseTimeline {
- public:
-  void mark(emu::Machine& m, const std::string& phase);
-  std::size_t marks() const { return snaps_.size(); }
-  std::vector<emu::CounterDelta> deltas() const;
-  /// JSON array of the per-phase deltas.
-  Json to_json() const;
-
- private:
-  std::vector<emu::CounterSnapshot> snaps_;
-};
 
 /// Machine observer behind the harness's --trace/--counters flags.
 /// Installs itself process-wide on construction (restoring the previous

@@ -28,7 +28,6 @@
 // each other.
 #pragma once
 
-#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
@@ -146,56 +145,6 @@ class Engine {
 
   bool idle() const { return fifo_count_ == 0 && heap_.empty(); }
   std::uint64_t events_processed() const { return events_processed_; }
-
-  /// Return to a just-constructed state — time 0, empty queue, zeroed
-  /// counters — while keeping the heap / FIFO-ring / slot-pool storage.
-  /// Callers running many simulations back to back (one point of a bench
-  /// sweep each) reuse one Engine and stop re-growing the same vectors on
-  /// every run.  Pending events are dropped; parked callbacks (and any
-  /// coroutine frames they own) are destroyed, not invoked.
-  void reset() {
-    heap_.clear();
-    fifo_head_ = 0;
-    fifo_count_ = 0;
-    slots_.clear();
-    free_slots_.clear();
-    now_ = 0;
-    next_seq_ = 0;
-    events_processed_ = 0;
-  }
-
-  /// Pre-size event storage for about `events_hint` concurrently *pending*
-  /// events (peak in-flight, not total processed — a run's events_processed
-  /// is usually orders of magnitude larger than its peak queue depth).
-  /// Feed it footprint() of a previous comparable run: sweeps over
-  /// same-shaped points then allocate once instead of once per point.
-  void reserve(std::size_t events_hint) {
-    heap_.reserve(events_hint);
-    if (fifo_.size() < events_hint) {
-      // One allocation straight to the next power of two >= the hint; the
-      // doubling loop this replaces reallocated and copied the ring once
-      // per step on the way up.
-      fifo_grow_to(std::bit_ceil(events_hint));
-    }
-    // SmallFn slots are ~48 B each and callbacks are a small fraction of
-    // traffic; cap the speculative reservation.
-    slots_.reserve(events_hint < 4096 ? events_hint : 4096);
-  }
-
-  /// Observed peak in-flight storage (capacity-based, so tracking costs
-  /// nothing on the hot path).  Suitable as the `events_hint` for the next
-  /// run's reserve(): capacities grow geometrically, so the value is
-  /// between the true peak and twice the peak, and feeding it back through
-  /// reserve() reaches a fixed point instead of ratcheting upward.
-  std::size_t footprint() const {
-    std::size_t peak =
-        heap_.capacity() > fifo_.size() ? heap_.capacity() : fifo_.size();
-    // The SmallFn slot pool grows with peak in-flight callbacks just like
-    // the entry lanes do; leaving it out made callback-heavy sweeps re-grow
-    // the pool on every point instead of reaching the reserve() fixed point.
-    if (slots_.capacity() > peak) peak = slots_.capacity();
-    return peak;
-  }
 
   /// Awaitable: suspend the current coroutine for `delay` simulated time.
   /// A delay of zero still round-trips through the event queue — via the
@@ -354,17 +303,11 @@ class Engine {
     return e;
   }
 
+  /// Double the ring (64 entries at first), preserving queued entries in
+  /// order.
   void fifo_grow() {
     const std::size_t old_cap = fifo_.size();
-    fifo_grow_to(old_cap == 0 ? 64 : old_cap * 2);
-  }
-
-  /// Replace the ring with one of capacity `new_cap` (a power of two >= 64
-  /// and > the current capacity), preserving queued entries in order.
-  void fifo_grow_to(std::size_t new_cap) {
-    const std::size_t old_cap = fifo_.size();
-    if (new_cap < 64) new_cap = 64;
-    std::vector<Entry> grown(new_cap);
+    std::vector<Entry> grown(old_cap == 0 ? 64 : old_cap * 2);
     for (std::size_t k = 0; k < fifo_count_; ++k) {
       grown[k] = fifo_[(fifo_head_ + k) & (old_cap - 1)];
     }

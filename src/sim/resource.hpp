@@ -58,8 +58,6 @@ class FifoServer {
     return next_free_;
   }
 
-  /// Earliest time a new arrival could begin service.
-  Time next_free() const { return next_free_; }
   /// Total service time accumulated (for utilization accounting).
   Time busy_time() const { return busy_; }
   std::uint64_t requests() const { return requests_; }
@@ -97,7 +95,6 @@ class RateGate {
     return Awaiter{*this};
   }
 
-  Time interval() const { return interval_; }
   std::uint64_t items() const { return server_.requests(); }
   Time busy_time() const { return server_.busy_time(); }
 
@@ -127,9 +124,6 @@ class Semaphore {
       }
       void await_suspend(std::coroutine_handle<> h) {
         sem.waiters_.push_back(h);
-        if (sem.waiters_.size() > sem.max_queue_) {
-          sem.max_queue_ = sem.waiters_.size();
-        }
       }
       void await_resume() const noexcept {}
     };
@@ -159,13 +153,11 @@ class Semaphore {
 
   std::int64_t available() const { return count_; }
   std::size_t waiting() const { return waiters_.size(); }
-  std::size_t max_queue_depth() const { return max_queue_; }
 
  private:
   Engine* eng_;
   std::int64_t count_;
   std::deque<std::coroutine_handle<>> waiters_;
-  std::size_t max_queue_ = 0;
 };
 
 }  // namespace emusim::sim

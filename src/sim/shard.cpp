@@ -176,15 +176,4 @@ Time EngineSet::run(Time lookahead, int threads) {
   return final_t;
 }
 
-void EngineSet::reset() {
-  for (auto& box : outboxes_) box.clear();
-  for (auto& tl : touched_) tl.clear();
-  for (auto& stage : staging_) stage.clear();
-  touched_dsts_.clear();
-  for (Engine& e : engines_) e.reset();
-  end_ = 0;
-  done_ = false;
-  windows_ = 0;
-}
-
 }  // namespace emusim::sim

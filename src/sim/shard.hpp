@@ -100,9 +100,6 @@ class EngineSet {
   /// global final time.
   Time run(Time lookahead, int threads);
 
-  /// Drop pending cross-shard messages and reset every shard engine.
-  void reset();
-
   /// Windows opened by the last run() (0 after an S==1 serial run).
   std::uint64_t windows() const { return windows_; }
 

@@ -1,10 +1,9 @@
 // Task: a fire-and-forget coroutine representing one simulated thread.
 //
 // Lifecycle: creating a Task leaves the coroutine suspended at its initial
-// suspend point.  The owner installs an optional completion hook and calls
-// start() exactly once.  When the coroutine runs to completion its frame is
-// destroyed from the final awaiter and the hook fires — runtimes use the
-// hook to implement join/sync semantics and to recycle per-thread contexts.
+// suspend point.  The owner calls start() exactly once.  When the coroutine
+// runs to completion its frame is destroyed from the final awaiter; a Task
+// destroyed before start() destroys the unstarted frame.
 //
 // Exceptions: simulated kernels must not throw; an escaping exception
 // terminates the process (a simulation bug, not a recoverable condition).
@@ -14,8 +13,6 @@
 #include <exception>
 #include <utility>
 
-#include "sim/callback.hpp"
-
 namespace emusim::sim {
 
 class Task {
@@ -24,19 +21,12 @@ class Task {
   using Handle = std::coroutine_handle<promise_type>;
 
   struct promise_type {
-    SmallFn on_complete;
-
     Task get_return_object() { return Task{Handle::from_promise(*this)}; }
     std::suspend_always initial_suspend() noexcept { return {}; }
 
     struct FinalAwaiter {
       bool await_ready() noexcept { return false; }
-      void await_suspend(Handle h) noexcept {
-        // Move the hook out before destroying the frame it lives in.
-        auto done = std::move(h.promise().on_complete);
-        h.destroy();
-        if (done) done();
-      }
+      void await_suspend(Handle h) noexcept { h.destroy(); }
       void await_resume() noexcept {}
     };
     FinalAwaiter final_suspend() noexcept { return {}; }
@@ -59,22 +49,12 @@ class Task {
   Task& operator=(const Task&) = delete;
   ~Task() { destroy(); }
 
-  /// Install a hook invoked (once) after the coroutine finishes.
-  /// Must be called before start().  The hook rides a SmallFn: typical
-  /// completion captures (a machine pointer plus a parent context) stay
-  /// inline, so spawning a simulated thread allocates nothing for its hook.
-  void on_complete(SmallFn fn) {
-    handle_.promise().on_complete = std::move(fn);
-  }
-
   /// Begin execution.  The Task relinquishes ownership: the coroutine
   /// destroys its own frame on completion.
   void start() {
     auto h = std::exchange(handle_, {});
     h.resume();
   }
-
-  bool valid() const { return static_cast<bool>(handle_); }
 
  private:
   void destroy() {

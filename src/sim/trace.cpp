@@ -1,6 +1,5 @@
 #include "sim/trace.hpp"
 
-#include "common/check.hpp"
 
 namespace emusim::sim {
 
@@ -26,20 +25,6 @@ std::size_t Tracer::count(TraceKind kind, std::int32_t who) const {
   return n;
 }
 
-void Tracer::dump(std::FILE* out) const {
-  for_each([&](const TraceRecord& r) {
-    std::fprintf(out, "%14s  %-13s a=%-3d b=%-3d tid=%-5d arg=%llu\n",
-                 format_time(r.t).c_str(), to_string(r.kind), r.a, r.b, r.tid,
-                 static_cast<unsigned long long>(r.arg));
-  });
-  if (truncated()) {
-    std::fprintf(out, "... TRUNCATED: %llu records %s at capacity %zu\n",
-                 static_cast<unsigned long long>(dropped_),
-                 ring_ ? "overwritten (oldest first)" : "dropped (newest)",
-                 capacity_);
-  }
-}
-
 std::vector<std::vector<std::uint64_t>> Tracer::migration_matrix(
     int num_nodelets, std::uint64_t* out_of_range) const {
   std::vector<std::vector<std::uint64_t>> m(
@@ -56,32 +41,6 @@ std::vector<std::vector<std::uint64_t>> Tracer::migration_matrix(
   });
   if (out_of_range != nullptr) *out_of_range = oor;
   return m;
-}
-
-std::vector<std::vector<std::uint64_t>> Tracer::activity(
-    TraceKind kind, int num_entities, Time bucket, Time end,
-    std::uint64_t* out_of_window) const {
-  EMUSIM_CHECK(num_entities > 0 && bucket > 0);
-  const auto buckets =
-      static_cast<std::size_t>(end / bucket + (end % bucket ? 1 : 0));
-  std::vector<std::vector<std::uint64_t>> act(
-      static_cast<std::size_t>(num_entities),
-      std::vector<std::uint64_t>(buckets ? buckets : 1, 0));
-  std::uint64_t oow = 0;
-  for_each([&](const TraceRecord& r) {
-    if (r.kind != kind || r.a < 0 || r.a >= num_entities) return;
-    // Events at or past `end` (and before 0) are outside the requested
-    // window.  Folding them into the edge buckets would conflate them with
-    // real edge activity, so they are counted separately instead.
-    if (r.t < 0 || r.t >= end) {
-      ++oow;
-      return;
-    }
-    const auto b = static_cast<std::size_t>(r.t / bucket);
-    ++act[static_cast<std::size_t>(r.a)][b];
-  });
-  if (out_of_window != nullptr) *out_of_window = oow;
-  return act;
 }
 
 }  // namespace emusim::sim

@@ -8,19 +8,16 @@
 // per-nodelet utilization over time, migration matrices) and that
 // report/observe.hpp exports as Chrome/Perfetto trace-event JSON.
 //
-// Two bounded modes:
-//   enable(capacity)       — linear: keep the *oldest* records, then stop.
-//   enable_ring(capacity)  — ring: keep the *newest* records, overwriting
-//                            the oldest (long runs keep their tail).
-// Either way `dropped()` counts records not retained and `truncated()`
-// flags it; aggregations over a truncated trace are lower bounds, so every
-// exporter must surface the flag (see docs/OBSERVABILITY.md).
+// The trace is a bounded ring: enable(capacity) keeps the *newest*
+// `capacity` records, overwriting the oldest, so a long run keeps its tail.
+// `dropped()` counts records not retained and `truncated()` flags it;
+// aggregations over a truncated trace are lower bounds, so every exporter
+// must surface the flag (see docs/OBSERVABILITY.md).
 //
 // Tracing is off by default and costs one branch per event when disabled.
 #pragma once
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -52,42 +49,35 @@ struct TraceRecord {
 
 class Tracer {
  public:
-  /// Enable tracing, keeping at most `capacity` records (recording stops
-  /// silently at capacity; `dropped()` reports the overflow).
+  /// Enable tracing into a ring of `capacity` records: at capacity the
+  /// *oldest* record is overwritten, so a long run keeps its newest
+  /// `capacity` events.  `dropped()` counts the overwritten records.
   void enable(std::size_t capacity = 1u << 20) {
-    reset(capacity, /*ring=*/false);
+    enabled_ = true;
+    capacity_ = capacity;
+    head_ = 0;
+    records_.clear();
+    records_.reserve(capacity < 4096 ? capacity : 4096);
+    dropped_ = 0;
   }
 
-  /// Enable tracing with a ring buffer: at capacity the *oldest* record is
-  /// overwritten, so a long run keeps its newest `capacity` events.
-  /// `dropped()` counts the overwritten records.
-  void enable_ring(std::size_t capacity = 1u << 20) {
-    reset(capacity, /*ring=*/true);
-  }
-
-  void disable() { enabled_ = false; }
   bool enabled() const { return enabled_; }
-  bool ring() const { return ring_; }
-  std::size_t capacity() const { return capacity_; }
 
   void record(Time t, TraceKind kind, std::int32_t a, std::int32_t b = -1,
               std::uint64_t arg = 0, std::int32_t tid = -1) {
     if (!enabled_) return;
-    if (records_.size() >= capacity_) {
-      if (!ring_ || capacity_ == 0) {
-        ++dropped_;
-        return;
-      }
-      records_[head_] = TraceRecord{t, kind, a, b, tid, arg};
-      head_ = (head_ + 1) % capacity_;
-      ++dropped_;
+    if (records_.size() < capacity_) {
+      records_.push_back(TraceRecord{t, kind, a, b, tid, arg});
       return;
     }
-    records_.push_back(TraceRecord{t, kind, a, b, tid, arg});
+    ++dropped_;
+    if (capacity_ == 0) return;  // nothing to overwrite
+    records_[head_] = TraceRecord{t, kind, a, b, tid, arg};
+    head_ = (head_ + 1) % capacity_;
   }
 
-  /// Retained records in *storage* order.  In ring mode the storage is
-  /// rotated once it wraps — use size()/at()/for_each for time order.
+  /// Retained records in *storage* order.  The storage is rotated once the
+  /// ring wraps — use size()/at()/for_each for time order.
   const std::vector<TraceRecord>& records() const { return records_; }
 
   std::size_t size() const { return records_.size(); }
@@ -104,7 +94,7 @@ class Tracer {
     for (std::size_t i = 0; i < n; ++i) fn(records_[(head_ + i) % n]);
   }
 
-  /// Records not retained: past capacity (linear) or overwritten (ring).
+  /// Records not retained (overwritten once the ring is full).
   std::uint64_t dropped() const { return dropped_; }
 
   /// True when any record was lost — every aggregation below is then a
@@ -115,39 +105,16 @@ class Tracer {
   /// Over a truncated trace this undercounts; check truncated().
   std::size_t count(TraceKind kind, std::int32_t who = -1) const;
 
-  /// Human-readable dump (one line per record, plus a truncation line).
-  void dump(std::FILE* out) const;
-
   /// Migration matrix: result[src][dst] = number of migrate_out records,
   /// sized num_nodelets x num_nodelets.  Records with out-of-range nodelet
   /// ids are counted into `*out_of_range` when given, never clamped.
   std::vector<std::vector<std::uint64_t>> migration_matrix(
       int num_nodelets, std::uint64_t* out_of_range = nullptr) const;
 
-  /// Per-entity activity over time: bucket counts of records of `kind` per
-  /// `bucket` of simulated time; result[entity][bucket_index].  Records at
-  /// `t >= end` are outside the window: they are dropped from the buckets
-  /// and counted into `*out_of_window` when given (never folded into the
-  /// last bucket).
-  std::vector<std::vector<std::uint64_t>> activity(
-      TraceKind kind, int num_entities, Time bucket, Time end,
-      std::uint64_t* out_of_window = nullptr) const;
-
  private:
-  void reset(std::size_t capacity, bool ring) {
-    enabled_ = true;
-    ring_ = ring;
-    capacity_ = capacity;
-    head_ = 0;
-    records_.clear();
-    records_.reserve(capacity < 4096 ? capacity : 4096);
-    dropped_ = 0;
-  }
-
   bool enabled_ = false;
-  bool ring_ = false;
   std::size_t capacity_ = 0;
-  std::size_t head_ = 0;  ///< ring mode: index of the oldest record
+  std::size_t head_ = 0;  ///< index of the oldest record once full
   std::uint64_t dropped_ = 0;
   std::vector<TraceRecord> records_;
 };

@@ -147,7 +147,9 @@ TEST(ScalingFamily, AddressesTheFullspeedTopologyByNodeletCount) {
     EXPECT_EQ(cfg.gcs_per_nodelet, one.gcs_per_nodelet);
     EXPECT_EQ(cfg.slots_per_nodelet(), one.slots_per_nodelet());
     EXPECT_EQ(cfg.gc_clock_hz, one.gc_clock_hz);
-    if (cfg.nodes > 1) EXPECT_GT(cfg.internode_latency, 0);
+    if (cfg.nodes > 1) {
+      EXPECT_GT(cfg.internode_latency, 0);
+    }
   }
 }
 

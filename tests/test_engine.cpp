@@ -1,5 +1,5 @@
 // DES engine fundamentals: event ordering, determinism, coroutine sleeps,
-// Task lifecycle and completion hooks.
+// Task lifecycle.
 #include "sim/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -16,72 +16,6 @@ TEST(Engine, StartsAtZeroAndIdle) {
   EXPECT_EQ(eng.now(), 0);
   EXPECT_TRUE(eng.idle());
   EXPECT_FALSE(eng.step());
-}
-
-TEST(Engine, ResetReturnsToPristineState) {
-  Engine eng;
-  int fired = 0;
-  eng.call_at(ns(10), [&] { ++fired; });
-  eng.call_at(ns(20), [&] { ++fired; });
-  eng.run();
-  EXPECT_EQ(fired, 2);
-  eng.call_at(ns(99), [&] { ++fired; });  // pending at reset: must be dropped
-  eng.reset();
-  EXPECT_EQ(eng.now(), 0);
-  EXPECT_TRUE(eng.idle());
-  EXPECT_EQ(eng.events_processed(), 0u);
-  eng.call_at(ns(5), [&] { ++fired; });
-  eng.run();
-  EXPECT_EQ(fired, 3);  // the pre-reset pending callback never ran
-  EXPECT_EQ(eng.now(), ns(5));
-}
-
-TEST(Engine, ResetKeepsDeterministicOrdering) {
-  // A reused engine must replay the exact event order of a fresh one —
-  // this is what lets sweep workers recycle engines between points.
-  auto run_once = [](Engine& eng) {
-    std::vector<int> order;
-    for (int i = 0; i < 50; ++i) {
-      eng.call_at(ns(static_cast<long long>(i % 7)),
-                  [&order, i] { order.push_back(i); });
-    }
-    eng.run();
-    return order;
-  };
-  Engine fresh;
-  const auto want = run_once(fresh);
-  Engine reused;
-  run_once(reused);
-  reused.reset();
-  EXPECT_EQ(run_once(reused), want);
-}
-
-TEST(Engine, ReserveGrowsFootprintUpFront) {
-  Engine eng;
-  eng.reserve(4096);
-  const std::size_t before = eng.footprint();
-  EXPECT_GE(before, 4096u);
-  // A workload within the hint must not grow the footprint further.
-  for (int i = 0; i < 4096; ++i) {
-    eng.call_at(static_cast<Time>(i), [] {});
-  }
-  eng.run();
-  EXPECT_EQ(eng.footprint(), before);
-}
-
-TEST(Engine, FootprintIsAStableReuseHint) {
-  // Feeding an engine's own footprint back through reserve() must reach a
-  // fixed point: footprint(reserve(footprint())) == footprint().
-  Engine first;
-  for (int i = 0; i < 1000; ++i) {
-    first.call_at(static_cast<Time>(i % 13), [] {});
-  }
-  first.run();
-  const std::size_t hint = first.footprint();
-  EXPECT_GT(hint, 0u);
-  Engine second;
-  second.reserve(hint);
-  EXPECT_EQ(second.footprint(), hint);
 }
 
 TEST(Engine, CallbacksRunInTimeOrder) {
@@ -194,15 +128,9 @@ TEST(Engine, SameTimestampTiesAcrossAllEntryPoints) {
   // requeues itself through its FIFO-lane entry point, so the +10 echoes
   // follow in the same relative order.
   const std::vector<int> want{0, 1, 2, 3, 4, 11, 12, 13};
-  Engine fresh;
-  EXPECT_EQ(run_once(fresh), want);
-  // After reset() the seq counter restarts, so a reused engine must replay
-  // the identical cross-lane tie order.
-  Engine reused;
-  run_once(reused);
-  reused.reset();
-  EXPECT_EQ(run_once(reused), want);
-  EXPECT_EQ(reused.now(), ns(10));
+  Engine eng;
+  EXPECT_EQ(run_once(eng), want);
+  EXPECT_EQ(eng.now(), ns(10));
 }
 
 TEST(Engine, RunWindowAndInjectPreserveOrderAcrossWindows) {
@@ -325,27 +253,16 @@ TEST(Task, SleepAdvancesTime) {
 
 Task trivial(Engine& eng) { co_await eng.sleep(ns(1)); }
 
-TEST(Task, OnCompleteFiresOnce) {
+TEST(Task, UnstartedTaskDoesNotLeak) {
   Engine eng;
-  int completions = 0;
-  auto t = trivial(eng);
-  t.on_complete([&] { ++completions; });
-  t.start();
-  eng.run();
-  EXPECT_EQ(completions, 1);
-}
-
-TEST(Task, UnstartedTaskDoesNotLeakOrFire) {
-  Engine eng;
-  int completions = 0;
   {
     auto t = trivial(eng);
-    t.on_complete([&] { ++completions; });
     // destroyed without start(): the frame must be freed (ASAN would catch
-    // a leak) and the hook must not run
+    // a leak) and the body never runs, so nothing is ever scheduled
   }
-  eng.run();
-  EXPECT_EQ(completions, 0);
+  EXPECT_TRUE(eng.idle());
+  EXPECT_EQ(eng.run(), 0);
+  EXPECT_EQ(eng.events_processed(), 0u);
 }
 
 TEST(Task, ManyConcurrentTasksDeterministic) {

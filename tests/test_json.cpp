@@ -120,6 +120,61 @@ TEST(JsonParse, NumbersWithExponents) {
   EXPECT_DOUBLE_EQ(v.items()[2].as_number(), 0.125);
 }
 
+// Every input here once parsed (or crashed the parser) and would let a
+// result file silently disable a gate: a NaN y compares false against every
+// bound, a duplicate key hides one of its values, deep nesting overflowed
+// the stack.
+TEST(JsonParse, RejectsMalformedCorpus) {
+  const struct {
+    const char* text;
+    const char* why;
+  } corpus[] = {
+      {"{\"a\": [1, 2", "expected ',' or ']'"},
+      {"{\"a\": [1, ", "unexpected end of input"},
+      {"{\"a\"", "expected ':'"},
+      {"\"abc", "unterminated string"},
+      {"tru", "bad literal"},
+      {"[NaN]", "expected value"},
+      {"[Infinity]", "expected value"},
+      {"[-Infinity]", "bad number"},
+      {"[0x10]", "expected ',' or ']'"},
+      {"[+1]", "expected value"},
+      {"[1e400]", "number out of range"},
+      {"[-1e400]", "number out of range"},
+      {"[01]", "expected ',' or ']'"},
+      {"[1.]", "bad number fraction"},
+      {"[.5]", "expected value"},
+      {"[1e]", "bad number exponent"},
+      {"-", "bad number"},
+      {"{\"y\": 1, \"y\": 2}", "duplicate key 'y'"},
+  };
+  for (const auto& c : corpus) {
+    Json v;
+    std::string err;
+    EXPECT_FALSE(Json::parse(c.text, &v, &err)) << c.text;
+    EXPECT_NE(err.find(c.why), std::string::npos)
+        << c.text << " -> " << err << " (want " << c.why << ")";
+  }
+
+  // 200,000 nested arrays: an error, not a stack overflow.
+  Json v;
+  std::string err;
+  EXPECT_FALSE(Json::parse(std::string(200000, '['), &v, &err));
+  EXPECT_NE(err.find("nesting deeper than 256"), std::string::npos) << err;
+  const std::string deepest = std::string(256, '[') + std::string(256, ']');
+  EXPECT_TRUE(Json::parse(deepest, &v, &err)) << err;
+  EXPECT_FALSE(Json::parse("[" + deepest + "]", &v, &err));
+
+  // Strict is not narrow: a huge but finite integer and the grammar's own
+  // corner forms still parse.
+  ASSERT_TRUE(Json::parse("[123456789012345678901234567890, -0, 1E+2]", &v,
+                          &err))
+      << err;
+  EXPECT_DOUBLE_EQ(v.items()[0].as_number(), 1.2345678901234568e29);
+  EXPECT_EQ(v.items()[1].as_number(), 0.0);
+  EXPECT_DOUBLE_EQ(v.items()[2].as_number(), 100.0);
+}
+
 TEST(JsonValue, GetWithDefaults) {
   Json obj = Json::object();
   obj.set("present", Json::number(7));

@@ -114,7 +114,7 @@ TEST(PerfettoTrace, RoundTripsMigratingRun) {
 
 TEST(PerfettoTrace, TruncatedRingTraceStillBalancesAndSaysSo) {
   emu::Machine m(emu::SystemConfig::chick_hw());
-  m.trace.enable_ring(/*capacity=*/32);  // far smaller than the event count
+  m.trace.enable(/*capacity=*/32);  // far smaller than the event count
   emu::Striped1D<std::int64_t> arr(m, 64);
   m.run_root([&](emu::Context& ctx) { return striped_walk(ctx, &arr); });
   ASSERT_TRUE(m.trace.truncated());
@@ -127,7 +127,6 @@ TEST(PerfettoTrace, TruncatedRingTraceStillBalancesAndSaysSo) {
   const Json root = parse_file(path);
   const Json* meta = root.find("otherData")->find("emusim");
   EXPECT_TRUE(meta->get_bool("truncated"));
-  EXPECT_TRUE(meta->get_bool("ring"));
   EXPECT_GT(meta->get_number("dropped"), 0.0);
   // Even over a window that starts mid-run the writer must emit balanced
   // slices (stale starts closed, missing starts synthesized).
@@ -142,7 +141,7 @@ TEST(PerfettoTrace, TruncatedRingTraceStillBalancesAndSaysSo) {
 
 TEST(TraceAccounting, JsonCarriesAllFields) {
   sim::Tracer t;
-  t.enable_ring(2);
+  t.enable(2);
   t.record(0, sim::TraceKind::mem_read, 0);
   t.record(1, sim::TraceKind::mem_read, 0);
   t.record(2, sim::TraceKind::mem_read, 0);
@@ -150,50 +149,9 @@ TEST(TraceAccounting, JsonCarriesAllFields) {
   EXPECT_EQ(j.get_number("records"), 2.0);
   EXPECT_EQ(j.get_number("dropped"), 1.0);
   EXPECT_TRUE(j.get_bool("truncated"));
-  EXPECT_TRUE(j.get_bool("ring"));
 }
 
 // --- phase-scoped counter deltas -------------------------------------------
-
-TEST(PhaseTimeline, AttributesTrafficToPhases) {
-  emu::Machine m(emu::SystemConfig::chick_hw());
-  m.trace.enable();
-  emu::Striped1D<std::int64_t> arr(m, 64);
-
-  report::PhaseTimeline tl;
-  tl.mark(m, "start");
-  m.run_root([&](emu::Context& ctx) { return striped_walk(ctx, &arr); });
-  const std::uint64_t mig_phase1 = m.stats.migrations;
-  tl.mark(m, "walk1");
-  m.run_root([&](emu::Context& ctx) { return striped_walk(ctx, &arr); });
-  tl.mark(m, "walk2");
-
-  const auto deltas = tl.deltas();
-  ASSERT_EQ(deltas.size(), 2u);
-  EXPECT_EQ(deltas[0].from, "start");
-  EXPECT_EQ(deltas[0].to, "walk1");
-  EXPECT_EQ(deltas[0].machine.migrations, mig_phase1);
-  // Identical workload in each phase: identical per-phase migration counts,
-  // and the two windows sum to the machine total.
-  EXPECT_EQ(deltas[1].machine.migrations, mig_phase1);
-  EXPECT_EQ(deltas[0].machine.migrations + deltas[1].machine.migrations,
-            m.stats.migrations);
-  EXPECT_LT(deltas[0].t0, deltas[0].t1);
-  EXPECT_EQ(deltas[0].t1, deltas[1].t0);
-
-  std::uint64_t reads = 0;
-  for (const auto& n : deltas[0].nodelets) {
-    reads += n.reads;
-    EXPECT_GE(n.row_hit_rate, 0.0);
-    EXPECT_LE(n.row_hit_rate, 1.0);
-    EXPECT_LE(n.channel_utilization, 1.0);
-  }
-  EXPECT_EQ(reads, 64u);
-
-  const Json j = tl.to_json();
-  ASSERT_EQ(j.items().size(), 2u);
-  EXPECT_EQ(j.items()[0].get_string("phase"), "walk1");
-}
 
 TEST(CounterDelta, ClampsMatrixAndPropagatesTruncation) {
   // Synthetic snapshots: under ring truncation a later matrix can have
@@ -221,7 +179,7 @@ TEST(CounterDelta, ClampsMatrixAndPropagatesTruncation) {
 
 TEST(CounterDelta, JsonReportsTruncationAndPerNodeletRows) {
   emu::Machine m(emu::SystemConfig::chick_hw());
-  m.trace.enable_ring(/*capacity=*/16);
+  m.trace.enable(/*capacity=*/16);
   emu::Striped1D<std::int64_t> arr(m, 64);
   const auto before = emu::snapshot_counters(m, "start");
   m.run_root([&](emu::Context& ctx) { return striped_walk(ctx, &arr); });
@@ -248,7 +206,7 @@ TEST(CountersReport, SurvivesLongMachineNamesAndFlagsTruncation) {
   auto cfg = emu::SystemConfig::chick_hw();
   cfg.name.assign(300, 'x');
   emu::Machine m(cfg);
-  m.trace.enable_ring(/*capacity=*/8);
+  m.trace.enable(/*capacity=*/8);
   emu::Striped1D<std::int64_t> arr(m, 64);
   const Time elapsed =
       m.run_root([&](emu::Context& ctx) { return striped_walk(ctx, &arr); });
@@ -283,7 +241,6 @@ TEST(BenchObserver, CollectsRunsAndWritesTrace) {
     ASSERT_TRUE(obs.write_trace(&err)) << err;
     const auto acct = obs.last_trace_accounting();
     EXPECT_GT(acct.records, 0u);
-    EXPECT_TRUE(acct.ring);
   }
   // Observer uninstalled: new machines are untraced again.
   emu::Machine m(emu::SystemConfig::chick_hw());

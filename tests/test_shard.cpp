@@ -68,15 +68,6 @@ TEST(EngineSet, CanonicalCrossShardDrainOrder) {
   EXPECT_EQ(canonical_order_run(16), want);  // clamped to shard count
 }
 
-TEST(EngineSet, ResetDropsPendingCrossShardMessages) {
-  sim::EngineSet set(2);
-  int fired = 0;
-  set.post_call(0, 1, us(5), sim::SmallFn([&fired] { ++fired; }));
-  set.reset();
-  EXPECT_EQ(set.run(us(1), 2), 0);
-  EXPECT_EQ(fired, 0);
-}
-
 /// The window planner fast-forwards over event-free gaps: a chain of posts spaced
 /// milliseconds apart under a microsecond lookahead opens a handful of
 /// windows, not thousands of empty ones.

@@ -41,6 +41,14 @@ TEST(Tracer, CapacityBoundsAndCountsDrops) {
   for (int i = 0; i < 25; ++i) t.record(i, TraceKind::mem_read, 0);
   EXPECT_EQ(t.records().size(), 10u);
   EXPECT_EQ(t.dropped(), 15u);
+  EXPECT_TRUE(t.truncated());
+  // Capacity 0 retains nothing and counts every record as dropped.
+  Tracer none;
+  none.enable(/*capacity=*/0);
+  for (int i = 0; i < 3; ++i) none.record(i, TraceKind::mem_read, 0);
+  EXPECT_EQ(none.size(), 0u);
+  EXPECT_EQ(none.dropped(), 3u);
+  EXPECT_TRUE(none.truncated());
 }
 
 TEST(Tracer, CountFiltersByKindAndEntity) {
@@ -66,21 +74,6 @@ TEST(Tracer, MigrationMatrix) {
   EXPECT_EQ(m[0][0], 0u);
 }
 
-TEST(Tracer, ActivityBuckets) {
-  Tracer t;
-  t.enable();
-  t.record(ns(5), TraceKind::mem_read, 0);
-  t.record(ns(15), TraceKind::mem_read, 0);
-  t.record(ns(15), TraceKind::mem_read, 1);
-  t.record(ns(25), TraceKind::mem_read, 0);
-  const auto a = t.activity(TraceKind::mem_read, 2, ns(10), ns(30));
-  ASSERT_EQ(a[0].size(), 3u);
-  EXPECT_EQ(a[0][0], 1u);
-  EXPECT_EQ(a[0][1], 1u);
-  EXPECT_EQ(a[0][2], 1u);
-  EXPECT_EQ(a[1][1], 1u);
-}
-
 TEST(Tracer, TruncatedFlagDistinguishesFullFromOverflowed) {
   Tracer t;
   t.enable(/*capacity=*/4);
@@ -89,12 +82,12 @@ TEST(Tracer, TruncatedFlagDistinguishesFullFromOverflowed) {
   t.record(4, TraceKind::mem_read, 0);
   EXPECT_TRUE(t.truncated());
   EXPECT_EQ(t.dropped(), 1u);
+  EXPECT_EQ(t.size(), 4u);
 }
 
 TEST(Tracer, RingModeKeepsNewestInTimeOrder) {
   Tracer t;
-  t.enable_ring(/*capacity=*/4);
-  EXPECT_TRUE(t.ring());
+  t.enable(/*capacity=*/4);
   for (int i = 0; i < 10; ++i) t.record(ns(i), TraceKind::mem_read, i);
   ASSERT_EQ(t.size(), 4u);
   EXPECT_EQ(t.dropped(), 6u);
@@ -114,27 +107,15 @@ TEST(Tracer, RingModeKeepsNewestInTimeOrder) {
 }
 
 TEST(Tracer, AggregatesAfterOverflowUseRetainedRecordsOnly) {
-  // Linear mode keeps the oldest records; ring mode keeps the newest.  In
-  // both cases aggregation must reflect exactly the retained set and the
-  // truncated flag must warn the caller (satellite: silent dropped_).
-  Tracer lin;
-  lin.enable(/*capacity=*/3);
-  lin.record(0, TraceKind::migrate_out, 0, 1);
-  lin.record(1, TraceKind::migrate_out, 1, 2);
-  lin.record(2, TraceKind::migrate_out, 2, 3);
-  lin.record(3, TraceKind::migrate_out, 3, 4);  // dropped
-  auto m = lin.migration_matrix(8);
-  EXPECT_EQ(m[0][1] + m[1][2] + m[2][3], 3u);
-  EXPECT_EQ(m[3][4], 0u);
-  EXPECT_TRUE(lin.truncated());
-
+  // The ring keeps the newest records: aggregation must reflect exactly the
+  // retained set and the truncated flag must warn the caller.
   Tracer ring;
-  ring.enable_ring(/*capacity=*/3);
+  ring.enable(/*capacity=*/3);
   ring.record(0, TraceKind::migrate_out, 0, 1);  // overwritten
   ring.record(1, TraceKind::migrate_out, 1, 2);
   ring.record(2, TraceKind::migrate_out, 2, 3);
   ring.record(3, TraceKind::migrate_out, 3, 4);
-  m = ring.migration_matrix(8);
+  const auto m = ring.migration_matrix(8);
   EXPECT_EQ(m[0][1], 0u);
   EXPECT_EQ(m[1][2] + m[2][3] + m[3][4], 3u);
   EXPECT_TRUE(ring.truncated());
@@ -150,25 +131,6 @@ TEST(Tracer, MigrationMatrixCountsOutOfRangeIds) {
   const auto m = t.migration_matrix(8, &oor);
   EXPECT_EQ(m[0][1], 1u);
   EXPECT_EQ(oor, 2u);
-}
-
-TEST(Tracer, ActivityWindowEdgesAndOutOfWindowCount) {
-  Tracer t;
-  t.enable();
-  t.record(0, TraceKind::mem_read, 0);         // t == 0: first bucket
-  t.record(ns(29), TraceKind::mem_read, 0);    // inside last bucket
-  t.record(ns(30), TraceKind::mem_read, 0);    // t == end: out of window
-  t.record(ns(99), TraceKind::mem_read, 0);    // far past end
-  t.record(-ns(1), TraceKind::mem_read, 0);    // before the window
-  std::uint64_t oow = 0;
-  const auto a = t.activity(TraceKind::mem_read, 1, ns(10), ns(30), &oow);
-  ASSERT_EQ(a[0].size(), 3u);
-  EXPECT_EQ(a[0][0], 1u);
-  EXPECT_EQ(a[0][1], 0u);
-  // Regression: records at/after `end` used to be clamped into the last
-  // bucket, inflating it; they must be dropped and counted instead.
-  EXPECT_EQ(a[0][2], 1u);
-  EXPECT_EQ(oow, 3u);
 }
 
 // --- machine integration ---------------------------------------------------

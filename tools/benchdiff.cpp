@@ -11,6 +11,7 @@
 // every baseline point must exist in the candidate (dropping a bench or a
 // sweep point is itself a regression).  Candidate-only data is ignored.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -55,7 +56,8 @@ std::vector<BenchResult> load_results(const std::string& path, bool* ok) {
     BenchResult r;
     std::string err;
     if (!BenchResult::load(f, &r, &err)) {
-      std::fprintf(stderr, "benchdiff: %s: %s\n", f.c_str(), err.c_str());
+      // load() errors already start with the file name.
+      std::fprintf(stderr, "benchdiff: %s\n", err.c_str());
       *ok = false;
       return {};
     }
@@ -80,7 +82,9 @@ int main(int argc, char** argv) {
     } else if (arg == "--tolerance" && i + 1 < argc) {
       char* end = nullptr;
       opt.max_regress_pct = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || opt.max_regress_pct < 0) {
+      // NaN compares false against every delta and would pass everything.
+      if (end == argv[i] || *end != '\0' ||
+          !std::isfinite(opt.max_regress_pct) || opt.max_regress_pct < 0) {
         std::fprintf(stderr, "benchdiff: bad --tolerance '%s'\n", argv[i]);
         return usage(argv[0]);
       }

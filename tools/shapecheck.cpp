@@ -96,7 +96,7 @@ int main(int argc, char** argv) {
   for (const auto& f : result_files) {
     BenchResult r;
     if (!BenchResult::load(f, &r, &err)) {
-      std::fprintf(stderr, "shapecheck: %s: %s\n", f.c_str(), err.c_str());
+      std::fprintf(stderr, "shapecheck: %s\n", err.c_str());
       return 2;
     }
     results[r.bench] = std::move(r);
@@ -106,7 +106,7 @@ int main(int argc, char** argv) {
   for (const auto& f : shape_files) {
     ShapeSpec spec;
     if (!ShapeSpec::load(f, &spec, &err)) {
-      std::fprintf(stderr, "shapecheck: %s: %s\n", f.c_str(), err.c_str());
+      std::fprintf(stderr, "shapecheck: %s\n", err.c_str());
       return 2;
     }
     ++specs;

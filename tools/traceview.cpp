@@ -14,8 +14,8 @@
 //             track, and every flow id has exactly one 's' and one 'f' in
 //             causal order.  Exit 1 on the first batch of violations.
 //   --strict  with --check: additionally fail when the trace is truncated
-//             (ring overwrote records) or records were dropped.  CI uses
-//             this to keep golden fixtures honest.
+//             (the ring overwrote records).  CI uses this to keep golden
+//             fixtures honest.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -41,7 +41,6 @@ struct Accounting {
   double records = 0;
   double dropped = 0;
   bool truncated = false;
-  bool ring = false;
   double num_nodelets = 0;
   bool present = false;
 };
@@ -55,7 +54,6 @@ Accounting read_accounting(const Json& root) {
   a.records = meta->get_number("records");
   a.dropped = meta->get_number("dropped");
   a.truncated = meta->get_bool("truncated");
-  a.ring = meta->get_bool("ring");
   a.num_nodelets = meta->get_number("num_nodelets");
   return a;
 }
@@ -65,8 +63,8 @@ void print_accounting(const Accounting& a) {
     std::printf("accounting: no emusim metadata (not written by --trace?)\n");
     return;
   }
-  std::printf("accounting: %.0f records retained, %.0f dropped (%s mode)%s\n",
-              a.records, a.dropped, a.ring ? "ring" : "linear",
+  std::printf("accounting: %.0f records retained, %.0f dropped%s\n",
+              a.records, a.dropped,
               a.truncated ? " -- trace TRUNCATED, aggregates are partial"
                           : " -- complete");
 }
