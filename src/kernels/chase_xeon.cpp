@@ -18,13 +18,23 @@ struct XChase {
 };
 
 Op<> chase_worker(CpuContext& ctx, XChase* st, int t) {
+  const std::uint64_t* next = st->list->next.data();
+  const std::int64_t* payload = st->list->payload.data();
   std::int64_t sum = 0;
   std::uint64_t idx = st->list->head[static_cast<std::size_t>(t)];
   while (idx != kChaseEnd) {
+    // Read the successor one element ahead and start the host fetches it
+    // will need; the other simulated threads' events run while they land.
+    const std::uint64_t nxt = next[idx];
+    if (nxt != kChaseEnd) {
+      __builtin_prefetch(next + nxt);
+      __builtin_prefetch(payload + nxt);
+      ctx.host_prefetch(st->base + nxt * sizeof(ChaseElement));
+    }
     co_await ctx.load(st->base + idx * sizeof(ChaseElement));
     co_await ctx.compute(kChaseXeonCyclesPerElement);
-    sum += st->list->payload[idx];
-    idx = st->list->next[idx];
+    sum += payload[idx];
+    idx = nxt;
   }
   st->sums[static_cast<std::size_t>(t)] = sum;
 }

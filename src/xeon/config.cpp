@@ -1,6 +1,22 @@
 #include "xeon/config.hpp"
 
+#include "common/check.hpp"
+
 namespace emusim::xeon {
+
+void SystemConfig::validate() const {
+  EMUSIM_CHECK_MSG(line_bytes >= 8 && (line_bytes & (line_bytes - 1)) == 0,
+                   "line_bytes must be a power of two >= 8");
+  EMUSIM_CHECK_MSG(llc_ways >= 1 && llc_ways <= 255,
+                   "llc_ways must be in [1, 255]");
+  EMUSIM_CHECK_MSG(llc_bytes / static_cast<std::size_t>(line_bytes) >=
+                       static_cast<std::size_t>(llc_ways),
+                   "llc_bytes must hold at least llc_ways lines");
+  EMUSIM_CHECK_MSG(cores >= 1 && sockets >= 1 && cores % sockets == 0,
+                   "cores must split evenly across sockets");
+  EMUSIM_CHECK_MSG(channels >= 1, "channels must be >= 1");
+  EMUSIM_CHECK_MSG(lfb_per_core >= 1, "lfb_per_core must be >= 1");
+}
 
 SystemConfig SystemConfig::sandy_bridge() {
   SystemConfig c;

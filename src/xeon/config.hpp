@@ -58,6 +58,13 @@ struct SystemConfig {
   }
   Time cycle() const { return period_from_hz(clock_hz); }
 
+  /// Abort (EMUSIM_CHECK) on a geometry the model cannot represent: a line
+  /// size that is not a power of two of at least 8 bytes, more than 255 LLC
+  /// ways (LRU ranks are u8), an LLC smaller than one set, cores that do not
+  /// split evenly across sockets, or no channels or line-fill buffers.
+  /// Machine construction validates.
+  void validate() const;
+
   static SystemConfig sandy_bridge();
   static SystemConfig haswell();
 };

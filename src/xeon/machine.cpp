@@ -2,9 +2,16 @@
 
 namespace emusim::xeon {
 
+namespace {
+const SystemConfig& validated(const SystemConfig& cfg) {
+  cfg.validate();
+  return cfg;
+}
+}  // namespace
+
 Machine::Machine(const SystemConfig& cfg)
-    : cfg_(cfg), llc_(cfg.llc_bytes, cfg.llc_ways, cfg.line_bytes) {
-  EMUSIM_CHECK(cfg.cores >= 1 && cfg.channels >= 1);
+    : cfg_(validated(cfg)),
+      llc_(cfg.llc_bytes, cfg.llc_ways, cfg.line_bytes) {
   for (int c = 0; c < cfg.channels; ++c) channels_.emplace_back(eng_, cfg.dram);
   for (int c = 0; c < cfg.cores; ++c) cores_.emplace_back(eng_, cfg_);
 }
@@ -14,6 +21,8 @@ std::uint64_t Machine::allocate(std::uint64_t bytes, std::uint64_t align) {
   brk_ = (brk_ + align - 1) & ~(align - 1);
   const std::uint64_t addr = brk_;
   brk_ += bytes;
+  EMUSIM_CHECK_MSG(brk_ >= addr && (brk_ == 0 || llc_.addressable(brk_ - 1)),
+                   "allocation beyond the LLC tag range");
   return addr;
 }
 
@@ -41,7 +50,7 @@ void Machine::prefetch_advance(int core_idx, std::uint64_t line) {
       s = &st;
       break;
     }
-    if (st.last_use < lru->last_use) lru = &st;
+    if (st.stamp < lru->stamp) lru = &st;
   }
   if (s != nullptr) {
     ++s->run_length;
@@ -50,7 +59,7 @@ void Machine::prefetch_advance(int core_idx, std::uint64_t line) {
     s->run_length = 1;
   }
   s->last_line = line;
-  s->last_use = ++c.stream_clock;
+  s->stamp = ++c.stream_clock;
   if (s->run_length < cfg_.prefetch_trigger) return;
 
   for (int k = 1; k <= cfg_.prefetch_degree; ++k) {
@@ -74,8 +83,13 @@ void Machine::issue_fill(int core_idx, std::uint64_t line,
     done += cfg_.remote_socket_latency;
   }
   install_line(line, done, /*dirty=*/false);
-  eng_.call_at(done, [this, core_idx] { core(core_idx).lfb_release(); });
-  eng_.schedule(done, h);
+  // One event releases the fill buffer, then resumes the load.  This is the
+  // order two same-time events with adjacent sequence numbers would run in,
+  // and everything the release schedules is queued after both.
+  eng_.call_at(done, [this, core_idx, h] {
+    core(core_idx).lfb_release();
+    h.resume();
+  });
 }
 
 void Machine::demand_load(int core_idx, std::uint64_t addr,

@@ -77,7 +77,7 @@ class Core {
   struct Stream {
     std::uint64_t last_line = ~0ULL;
     int run_length = 0;
-    std::uint64_t last_use = 0;
+    std::uint64_t stamp = 0;  ///< stream_clock at the last match
   };
   static constexpr int kNumStreams = 16;
   Stream streams[kNumStreams];
@@ -190,6 +190,10 @@ class CpuContext {
     ++m_->stats.loads;
     return Awaiter{*m_, core_, addr};
   }
+
+  /// Host-only hint: warm the host caches for a load of `addr` that comes
+  /// soon.  No simulated effect (see SetAssocCache::prefetch).
+  void host_prefetch(std::uint64_t addr) const { m_->llc().prefetch(addr); }
 
   /// Posted store (write-allocate, write-back).
   void store(std::uint64_t addr) {

@@ -9,6 +9,7 @@
 #include "kernels/chase_xeon.hpp"
 #include "kernels/stream_emu.hpp"
 #include "kernels/stream_xeon.hpp"
+#include "xeon/machine.hpp"
 
 namespace emusim {
 namespace {
@@ -190,6 +191,80 @@ TEST(XeonConfigs2, PeakBandwidthsMatchPaperSpecs) {
   // Haswell: 16 channels of DDR4-1333.
   EXPECT_NEAR(xeon::SystemConfig::haswell().peak_bytes_per_sec(),
               16 * 1333e6 * 8, 1e9);
+}
+
+TEST(XeonConfigValidation, NamedAndAblationConfigsValidate) {
+  xeon::SystemConfig::sandy_bridge().validate();
+  xeon::SystemConfig::haswell().validate();
+  // abl_sparse_opt's shrunken LLCs: 128 KiB (quick) and 256 KiB, 16-way.
+  for (std::size_t kib : {128u, 256u}) {
+    auto c = xeon::SystemConfig::sandy_bridge();
+    c.llc_bytes = kib << 10;
+    c.llc_ways = 16;
+    c.validate();
+    xeon::Machine m(c);
+    EXPECT_EQ(m.cfg().llc_bytes, kib << 10);
+  }
+}
+
+TEST(XeonConfigValidationDeathTest, RejectsLineSizes) {
+  auto c = xeon::SystemConfig::sandy_bridge();
+  c.line_bytes = 48;  // line_addr's mask would silently give wrong lines
+  EXPECT_DEATH(c.validate(), "line_bytes must be a power of two");
+  c.line_bytes = 4;
+  EXPECT_DEATH(c.validate(), "line_bytes must be a power of two");
+  c.line_bytes = 0;
+  EXPECT_DEATH(c.validate(), "line_bytes must be a power of two");
+}
+
+TEST(XeonConfigValidationDeathTest, RejectsWaysOutsideRankRange) {
+  auto c = xeon::SystemConfig::sandy_bridge();
+  c.llc_ways = 0;
+  EXPECT_DEATH(c.validate(), "llc_ways");
+  c.llc_ways = 256;  // LRU ranks are u8
+  EXPECT_DEATH(c.validate(), "llc_ways");
+  c.llc_ways = 255;
+  c.validate();
+}
+
+TEST(XeonConfigValidationDeathTest, RejectsLlcSmallerThanOneSet) {
+  auto c = xeon::SystemConfig::sandy_bridge();
+  c.llc_bytes = static_cast<std::size_t>(c.llc_ways * c.line_bytes) - 1;
+  EXPECT_DEATH(c.validate(), "llc_bytes");
+  c.llc_bytes += 1;
+  c.validate();
+}
+
+TEST(XeonConfigValidationDeathTest, RejectsCoresNotSplittingAcrossSockets) {
+  auto c = xeon::SystemConfig::haswell();
+  c.cores = 55;  // 4 sockets
+  EXPECT_DEATH(c.validate(), "sockets");
+  c.cores = 56;
+  c.sockets = 0;
+  EXPECT_DEATH(c.validate(), "sockets");
+}
+
+TEST(XeonConfigValidationDeathTest, RejectsMissingChannelsOrFillBuffers) {
+  auto c = xeon::SystemConfig::sandy_bridge();
+  c.channels = 0;
+  EXPECT_DEATH(c.validate(), "channels");
+  c = xeon::SystemConfig::sandy_bridge();
+  c.lfb_per_core = 0;
+  EXPECT_DEATH(c.validate(), "lfb_per_core");
+}
+
+TEST(XeonConfigValidationDeathTest, MachineValidatesItsConfig) {
+  auto c = xeon::SystemConfig::sandy_bridge();
+  c.line_bytes = 96;
+  EXPECT_DEATH(xeon::Machine{c}, "line_bytes must be a power of two");
+}
+
+TEST(XeonConfigValidationDeathTest, AllocateStaysWithinTagRange) {
+  // sandy_bridge: 64-B lines and 2^14 sets leave 2^52 bytes of tag range.
+  xeon::Machine m(xeon::SystemConfig::sandy_bridge());
+  EXPECT_EQ(m.allocate(std::uint64_t{1} << 52), 0u);  // ends exactly there
+  EXPECT_DEATH(m.allocate(1), "tag range");
+  EXPECT_DEATH(m.allocate(~std::uint64_t{0}), "tag range");
 }
 
 }  // namespace

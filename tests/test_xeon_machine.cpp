@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "kernels/chase_common.hpp"
 #include "kernels/chase_xeon.hpp"
 #include "kernels/stream_xeon.hpp"
 #include "xeon/cache.hpp"
@@ -115,6 +116,46 @@ TEST(ChaseXeon, SequentialBeatsRandomViaPrefetch) {
   p.mode = kernels::ShuffleMode::full_block_shuffle;
   const auto rnd = kernels::run_chase_xeon(cfg, p);
   EXPECT_GT(seq.mb_per_sec, 1.5 * rnd.mb_per_sec);
+}
+
+// A fixed chase over a 16-B-element list, one worker per core.  Each
+// element is one load and one compute step.
+sim::Op<> walk_chain(CpuContext& ctx, const kernels::ChaseList* list,
+                     std::uint64_t base, int t) {
+  for (std::uint64_t idx = list->head[static_cast<std::size_t>(t)];
+       idx != kernels::kChaseEnd; idx = list->next[idx]) {
+    co_await ctx.load(base + idx * sizeof(kernels::ChaseElement));
+    co_await ctx.compute(kernels::kChaseXeonCyclesPerElement);
+  }
+}
+
+TEST(XeonWorkCount, DemandMissCostsTheSameEventsAsAHit) {
+  // A demand miss releases its fill buffer and resumes the load in one
+  // event, so every element costs exactly two events — its load
+  // completion and its compute step — whether the load hits or misses.
+  // Start-up costs no events: workers start synchronously and the pool
+  // charges no per-task overhead here.
+  constexpr std::size_t kElements = 2048;
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kStartupEvents = 0;
+  const auto list = kernels::build_chase_list(
+      kElements, 1, kThreads, kernels::ShuffleMode::full_block_shuffle, 3);
+  Machine m(SystemConfig::sandy_bridge());
+  const std::uint64_t base =
+      m.allocate(kElements * sizeof(kernels::ChaseElement));
+  std::vector<TaskFn> tasks;
+  for (int t = 0; t < kThreads; ++t) {
+    tasks.push_back([&list, base, t](CpuContext& ctx) {
+      return walk_chain(ctx, &list, base, t);
+    });
+  }
+  run_task_pool(m, kThreads, std::move(tasks), 0);
+
+  EXPECT_EQ(m.stats.loads, kElements);
+  // Both paths are exercised: 4 elements share a line, in shuffled order.
+  EXPECT_GT(m.stats.demand_misses, 0u);
+  EXPECT_GT(m.llc().stats.hits, 0u);
+  EXPECT_EQ(m.engine().events_processed(), 2 * kElements + kStartupEvents);
 }
 
 TEST(TaskPool, RunsAllTasksAndBalances) {
