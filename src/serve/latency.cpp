@@ -35,11 +35,21 @@ Time LatencyRecorder::bucket_upper(std::size_t i) {
                           : static_cast<Time>(upper);
 }
 
+namespace {
+// Sums of non-negative latencies saturate at the Time maximum instead of
+// overflowing; below it they are exact.
+Time saturating_add(Time a, Time b) {
+  Time out;
+  return __builtin_add_overflow(a, b, &out) ? std::numeric_limits<Time>::max()
+                                            : out;
+}
+}  // namespace
+
 void LatencyRecorder::record(Time v) {
   if (v < 0) v = 0;
   ++buckets_[bucket_of(v)];
   ++count_;
-  sum_ += v;
+  sum_ = saturating_add(sum_, v);
   if (v > max_) max_ = v;
 }
 
@@ -89,7 +99,7 @@ Time LatencyRecorder::percentile(double q) const {
 void LatencyRecorder::merge(const LatencyRecorder& o) {
   for (std::size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += o.buckets_[i];
   count_ += o.count_;
-  sum_ += o.sum_;
+  sum_ = saturating_add(sum_, o.sum_);
   if (o.max_ > max_) max_ = o.max_;
 }
 

@@ -273,6 +273,7 @@ TEST(Latency, BucketUpperSaturatesAtTheTimeRangeInsteadOfWrapping) {
   rec.record(1);
   EXPECT_EQ(rec.percentile(1.0), kMax);
   EXPECT_EQ(rec.p50(), 1);
+  EXPECT_EQ(rec.sum(), kMax);
 }
 
 TEST(Latency, MergeEqualsRecordingEverythingInOneRecorder) {
