@@ -40,7 +40,10 @@ ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
   const bool shuffle_blocks = mode == ShuffleMode::block_shuffle ||
                               mode == ShuffleMode::full_block_shuffle;
 
-  std::vector<std::uint64_t> block_order;
+  // u32 halves the largest temporary; the shuffle draws the same numbers
+  // whatever the element type, so every list is unchanged.
+  EMUSIM_CHECK(num_blocks <= UINT32_MAX);
+  std::vector<std::uint32_t> block_order;
   std::vector<std::uint64_t> elem_order(block);
 
   for (int t = 0; t < threads; ++t) {
@@ -55,7 +58,7 @@ ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
     const std::size_t blocks_per_thread = last_block - first_block;
     block_order.resize(blocks_per_thread);
     for (std::size_t k = 0; k < blocks_per_thread; ++k) {
-      block_order[k] = first_block + k;
+      block_order[k] = static_cast<std::uint32_t>(first_block + k);
     }
     if (shuffle_blocks) {
       rng.shuffle(block_order);
