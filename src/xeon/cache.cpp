@@ -7,7 +7,9 @@ namespace emusim::xeon {
 
 SetAssocCache::SetAssocCache(std::size_t capacity_bytes, int ways,
                              int line_bytes)
-    : ways_(ways), line_bytes_(line_bytes) {
+    : ways_(ways),
+      line_bytes_(line_bytes),
+      flights_(kFlightSlots, Flight{kNoLine, 0}) {
   EMUSIM_CHECK(ways >= 1 && ways <= 255);
   EMUSIM_CHECK(line_bytes >= 8 && std::has_single_bit(
                                       static_cast<unsigned>(line_bytes)));
@@ -18,40 +20,40 @@ SetAssocCache::SetAssocCache(std::size_t capacity_bytes, int ways,
   line_shift_ = std::countr_zero(static_cast<unsigned>(line_bytes));
   set_shift_ = std::countr_zero(num_sets_);
 
-  // u32 tags, u8 ranks and the u8 fill count, rounded up to host lines.
-  const std::size_t raw = static_cast<std::size_t>(ways) * 5 + 1;
-  block_bytes_ = (raw + kHostLine - 1) / kHostLine * kHostLine;
+  // u32 tags, u8 ranks, the u8 fill count and the dirty bitmap, then the
+  // 8-byte ready bound, rounded up to host lines.
+  const auto w = static_cast<std::size_t>(ways);
+  bound_offset_ = (w * 5 + 1 + (w + 7) / 8 + 7) / 8 * 8;
+  block_bytes_ = (bound_offset_ + sizeof(Time) + kHostLine - 1) / kHostLine *
+                 kHostLine;
   // calloc: an all-zero block is an empty set, and untouched sets cost no
   // resident memory.
   blocks_.reset(static_cast<char*>(
       std::calloc(num_sets_ * block_bytes_ + kHostLine - 1, 1)));
-  lines_.reset(static_cast<Line*>(std::calloc(
-      num_sets_ * static_cast<std::uint64_t>(ways), sizeof(Line))));
-  EMUSIM_CHECK(blocks_ != nullptr && lines_ != nullptr);
+  EMUSIM_CHECK(blocks_ != nullptr);
   const auto at = reinterpret_cast<std::uintptr_t>(blocks_.get());
   base_ = blocks_.get() + ((kHostLine - at % kHostLine) % kHostLine);
 }
 
-SetAssocCache::Line* SetAssocCache::lookup(std::uint64_t addr) {
+SetAssocCache::Hit SetAssocCache::lookup(std::uint64_t addr) {
   const std::uint64_t line = addr >> line_shift_;
-  const std::uint64_t set = set_of(line);
-  std::uint32_t* tags = block_of(set);
-  std::uint8_t* rank = ranks(tags, ways_);
+  char* block = block_of(set_of(line));
+  std::uint8_t* rank = ranks(block);
   const int fill = rank[ways_];
-  const int w = find(tags, fill, tag_of(line));
+  const int w = find(tags(block), fill, tag_of(line));
   if (w < 0) {
     ++stats.misses;
-    return nullptr;
+    return {};
   }
   touch(rank, fill, w);
   ++stats.hits;
-  return lines_of(set) + w;
+  return {block, w};
 }
 
 bool SetAssocCache::contains(std::uint64_t addr) const {
   const std::uint64_t line = addr >> line_shift_;
-  std::uint32_t* tags = block_of(set_of(line));
-  return find(tags, ranks(tags, ways_)[ways_], tag_of(line)) >= 0;
+  char* block = block_of(set_of(line));
+  return find(tags(block), ranks(block)[ways_], tag_of(line)) >= 0;
 }
 
 SetAssocCache::Victim SetAssocCache::insert(std::uint64_t addr, Time ready_at,
@@ -59,15 +61,18 @@ SetAssocCache::Victim SetAssocCache::insert(std::uint64_t addr, Time ready_at,
   const std::uint64_t line = addr >> line_shift_;
   const std::uint64_t set = set_of(line);
   const std::uint32_t tag = tag_of(line);
-  std::uint32_t* tags = block_of(set);
-  std::uint8_t* rank = ranks(tags, ways_);
+  char* block = block_of(set);
+  std::uint32_t* way_tags = tags(block);
+  std::uint8_t* rank = ranks(block);
+  std::uint8_t* dirt = dirty_bits(block);
   int fill = rank[ways_];
-  Line* state = lines_of(set);
 
-  if (const int w = find(tags, fill, tag); w >= 0) {
-    // Refresh an in-flight/present line; LRU order is unchanged.
-    state[w].ready_at = std::min(state[w].ready_at, ready_at);
-    state[w].dirty = state[w].dirty || dirty;
+  if (const int w = find(way_tags, fill, tag); w >= 0) {
+    // Refresh an in-flight/present line; LRU order and the bound are
+    // unchanged.  An entry already pruned stays ready.
+    if (dirty) mark_dirty({block, w});
+    Flight& f = flights_[flight_index(line)];
+    if (f.line == line) f.ready_at = std::min(f.ready_at, ready_at);
     return {};
   }
 
@@ -80,18 +85,64 @@ SetAssocCache::Victim SetAssocCache::insert(std::uint64_t addr, Time ready_at,
   } else {
     w = static_cast<int>(std::find(rank, rank + ways_, ways_ - 1) - rank);
     ++stats.evictions;
-    if (state[w].dirty) {
+    if (is_dirty({block, w})) {
       ++stats.writebacks;
       out.evicted_dirty = true;
-      out.dirty_addr = ((static_cast<std::uint64_t>(tags[w]) << set_shift_) |
-                        set)
-                       << line_shift_;
+      out.dirty_addr =
+          ((static_cast<std::uint64_t>(way_tags[w]) << set_shift_) | set)
+          << line_shift_;
     }
   }
   touch(rank, fill, w);
-  tags[w] = tag;
-  state[w] = Line{ready_at, dirty};
+  way_tags[w] = tag;
+  const auto bit = static_cast<std::uint8_t>(1u << (w & 7));
+  dirt[w >> 3] = static_cast<std::uint8_t>(dirty ? dirt[w >> 3] | bit
+                                                 : dirt[w >> 3] & ~bit);
+  set_bound(block, std::max(bound(block), ready_at));
+
+  std::size_t i = flight_index(line);
+  if (flights_[i].line != line) {
+    if (2 * (flight_count_ + 1) > flights_.size()) {
+      prune_flights();
+      i = flight_index(line);
+    }
+    ++flight_count_;
+  }
+  flights_[i] = Flight{line, ready_at};
   return out;
+}
+
+Time SetAssocCache::in_flight_ready_at(Hit hit) const {
+  const auto set =
+      static_cast<std::uint64_t>(hit.block_ - base_) / block_bytes_;
+  const std::uint64_t line =
+      (static_cast<std::uint64_t>(tags(hit.block_)[hit.way_]) << set_shift_) |
+      set;
+  const Flight& f = flights_[flight_index(line)];
+  return f.line == line ? f.ready_at : clock_;
+}
+
+std::size_t SetAssocCache::flight_index(std::uint64_t line) const {
+  const std::size_t mask = flights_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (line * 0x9E3779B97F4A7C15ULL) >>
+      (64 - std::countr_zero(flights_.size())));
+  while (flights_[i].line != line && flights_[i].line != kNoLine) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+void SetAssocCache::prune_flights() {
+  survivors_.clear();
+  for (const Flight& f : flights_) {
+    if (f.line != kNoLine && f.ready_at > clock_) survivors_.push_back(f);
+  }
+  std::size_t slots = flights_.size();
+  while (4 * (survivors_.size() + 1) > slots) slots *= 2;
+  flights_.assign(slots, Flight{kNoLine, 0});
+  for (const Flight& f : survivors_) flights_[flight_index(f.line)] = f;
+  flight_count_ = survivors_.size();
 }
 
 }  // namespace emusim::xeon

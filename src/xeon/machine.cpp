@@ -96,11 +96,12 @@ void Machine::demand_load(int core_idx, std::uint64_t addr,
                           std::coroutine_handle<> h) {
   const std::uint64_t line = llc_.line_addr(addr);
   prefetch_advance(core_idx, line);
-  if (auto* e = llc_.lookup(line)) {
-    const Time usable = std::max(eng_.now() + cfg_.hit_latency, e->ready_at);
-    eng_.schedule(usable, h);
+  const Time earliest = eng_.now() + cfg_.hit_latency;
+  if (const auto hit = llc_.lookup(line)) {
+    eng_.schedule(llc_.usable(hit, earliest), h);
     return;
   }
+  llc_.advance(earliest);  // lets the LLC prune fills that have landed
   ++stats.demand_misses;
   Core& c = core(core_idx);
   if (c.lfb_try_acquire()) {
@@ -112,8 +113,8 @@ void Machine::demand_load(int core_idx, std::uint64_t addr,
 
 void Machine::posted_store(int core_idx, std::uint64_t addr) {
   const std::uint64_t line = llc_.line_addr(addr);
-  if (auto* e = llc_.lookup(line)) {
-    e->dirty = true;
+  if (const auto hit = llc_.lookup(line)) {
+    llc_.mark_dirty(hit);
     return;
   }
   // Write-allocate: fetch the line (RFO) and install it dirty.  Posted —

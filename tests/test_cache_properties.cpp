@@ -103,19 +103,21 @@ TEST(CacheConflicts, LowAssociativityThrashesOnSetStride) {
 TEST(CacheInFlight, ReadyAtPropagatesToHits) {
   SetAssocCache cache(1 << 16, 8, 64);
   cache.insert(0x4000, us(5), false);
-  auto* line = cache.lookup(0x4000);
+  const auto line = cache.lookup(0x4000);
   ASSERT_NE(line, nullptr);
-  EXPECT_EQ(line->ready_at, us(5));
+  EXPECT_EQ(cache.usable(line, 0), us(5));
   // Re-inserting the same line keeps the earlier availability.
   cache.insert(0x4000, us(9), false);
-  EXPECT_EQ(cache.lookup(0x4000)->ready_at, us(5));
+  EXPECT_EQ(cache.usable(cache.lookup(0x4000), us(1)), us(5));
+  // Once the data has arrived, a hit is usable at its own earliest time.
+  EXPECT_EQ(cache.usable(cache.lookup(0x4000), us(6)), us(6));
 }
 
 TEST(CacheInFlight, ReinsertMergesDirtyBit) {
   SetAssocCache cache(1 << 16, 8, 64);
   cache.insert(0x8000, 0, false);
   cache.insert(0x8000, 0, true);  // e.g. a store joins an in-flight fill
-  EXPECT_TRUE(cache.lookup(0x8000)->dirty);
+  EXPECT_TRUE(cache.is_dirty(cache.lookup(0x8000)));
 }
 
 }  // namespace

@@ -16,9 +16,10 @@ TEST(Cache, HitsAfterInsert) {
   SetAssocCache c(1 << 20, 8, 64);
   EXPECT_EQ(c.lookup(0x1000), nullptr);
   c.insert(0x1000, ns(10), false);
-  auto* e = c.lookup(0x1000);
+  const auto e = c.lookup(0x1000);
   ASSERT_NE(e, nullptr);
-  EXPECT_EQ(e->ready_at, ns(10));
+  EXPECT_EQ(c.usable(e, 0), ns(10));
+  EXPECT_FALSE(c.is_dirty(e));
   // Same line, different offset.
   EXPECT_NE(c.lookup(0x1038), nullptr);
   // Different line.
@@ -46,6 +47,14 @@ TEST(Cache, DirtyEvictionReportsWriteback) {
   EXPECT_TRUE(v.evicted_dirty);
   EXPECT_EQ(v.dirty_addr, 0u);
   EXPECT_EQ(c.stats.writebacks, 1u);
+}
+
+TEST(Cache, SandyBridgeHostFootprintIsSetBlocksPlusInFlightTable) {
+  // 20 MiB, 20 ways, 64-B lines: 16384 sets of one 128-B block each (tags,
+  // ranks, fill count, dirty bits, ready bound), plus the in-flight table's
+  // initial 1024 slots of 16 B.  No per-line array beside the blocks.
+  Machine m(SystemConfig::sandy_bridge());
+  EXPECT_EQ(m.llc().host_bytes(), 16384u * 128u + 1024u * 16u);
 }
 
 TEST(Machine, AllocatorInterleavesChannels) {
