@@ -12,9 +12,9 @@
 //     On the Emu every nonzero migrates regardless of order, so both
 //     transforms are flat to mildly harmful: gated ratio_between
 //     [0.8, 1.1].  y is bit-identical across layouts by construction.
-//   * Table C repeats a slice on the 2-node machine (sharded-engine
-//     determinism coverage for --engine-threads); full mode adds a
-//     256-nodelet slice (32 node-card shards) for the weekly sweep.
+//   * Table C repeats a slice on the 2-node machine (coverage for the
+//     windowed shard schedule); full mode adds a 256-nodelet slice (32
+//     node-card shards) for the weekly sweep.
 //   * Table D reorders a COO tensor's mode-0 slices by size and reruns the
 //     existing MTTKRP kernels — report-only.
 #include <string>

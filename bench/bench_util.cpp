@@ -9,8 +9,6 @@
 #include <thread>
 
 #include "emu/config.hpp"
-#include "emu/machine.hpp"
-#include "report/csv.hpp"
 #include "report/observe.hpp"
 #include "report/table.hpp"
 #include "xeon/config.hpp"
@@ -37,8 +35,8 @@ std::string format_x(const report::ResultPoint& p) {
 
 std::string usage(const std::string& bench_name) {
   return "usage: " + bench_name +
-         " [--csv <path>] [--json <path>] [--quick] [--filter <substr>]"
-         " [--jobs <n>] [--engine-threads <n>] [--trace <path>]"
+         " [--json <path>] [--quick] [--filter <substr>] [--jobs <n>]"
+         " [--trace <path>]"
          " [--trace-cap <records>] [--counters] [--help]\n"
          "value flags also accept --flag=value\n";
 }
@@ -85,18 +83,12 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err) {
       }
     }
     const char* a = arg.c_str();
-    if (std::strcmp(a, "--csv") == 0) {
-      if (!take_value(i, "--csv", &o.csv_path)) return false;
-    } else if (std::strcmp(a, "--json") == 0) {
+    if (std::strcmp(a, "--json") == 0) {
       if (!take_value(i, "--json", &o.json_path)) return false;
     } else if (std::strcmp(a, "--filter") == 0) {
       if (!take_value(i, "--filter", &o.filter)) return false;
     } else if (std::strcmp(a, "--jobs") == 0) {
       if (!take_int(i, "--jobs", 1, 1024, &o.jobs)) return false;
-    } else if (std::strcmp(a, "--engine-threads") == 0) {
-      if (!take_int(i, "--engine-threads", 1, 1024, &o.engine_threads)) {
-        return false;
-      }
     } else if (std::strcmp(a, "--trace") == 0) {
       if (!take_value(i, "--trace", &o.trace_path)) return false;
       if (o.trace_path.empty()) {
@@ -135,9 +127,6 @@ Harness::Harness(std::string bench_name, int argc, char** argv)
   }
   result_.bench = name_;
   result_.quick = opt_.quick;
-  // Points run inline (no SweepPool) execute on this thread; SweepPool
-  // workers install the same values on themselves (sweep_pool.cpp).
-  emu::set_engine_threads(opt_.engine_threads);
   start_wall_ = wall_now();
   tables_.push_back(TableGroup{name_, 1, {}});
   if (!opt_.trace_path.empty() || opt_.counters) {
@@ -334,45 +323,11 @@ void Harness::print_tables() const {
   }
 }
 
-bool Harness::write_csv() const {
-  if (opt_.csv_path.empty()) return true;
-  // Union of extra-metric names, in first-appearance order.
-  std::vector<std::string> extras;
-  for (const auto& s : result_.series) {
-    for (const auto& p : s.points) {
-      for (const auto& [k, v] : p.extra) {
-        if (std::find(extras.begin(), extras.end(), k) == extras.end()) {
-          extras.push_back(k);
-        }
-      }
-    }
-  }
-  std::vector<std::string> header = {
-      "bench", "series",
-      result_.x_axis.empty() ? std::string("x") : result_.x_axis,
-      result_.y_axis.empty() ? std::string("y") : result_.y_axis};
-  header.insert(header.end(), extras.begin(), extras.end());
-  report::CsvWriter csv(opt_.csv_path, header);
-  for (const auto& s : result_.series) {
-    for (const auto& p : s.points) {
-      std::vector<std::string> row = {result_.bench, s.name, format_x(p),
-                                      report::json_number(p.y)};
-      for (const auto& name : extras) {
-        const double* m = p.metric(name);
-        row.push_back(m != nullptr ? report::json_number(*m) : "");
-      }
-      csv.row(row);
-    }
-  }
-  return csv.ok();
-}
-
 int Harness::done() {
   result_.wall_seconds = wall_now() - start_wall_;
   bool ok = finish_observe();
   result_.fingerprint = report::result_fingerprint(result_);
   print_tables();
-  ok = write_csv() && ok;
   if (!opt_.json_path.empty()) ok = result_.save(opt_.json_path) && ok;
   return ok ? 0 : 1;
 }

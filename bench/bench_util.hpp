@@ -1,8 +1,7 @@
 // Shared harness for the figure-regeneration benches.  Every binary accepts
 // the same flags, registers its series with the harness, and gets table
-// printing, tidy CSV, and schema-versioned JSON (docs/RESULTS.md) for free:
+// printing and schema-versioned JSON (docs/RESULTS.md) for free:
 //
-//   --csv <path>     tidy CSV (bench, series, x, y, extra metrics)
 //   --json <path>    machine-readable result (consumed by tools/shapecheck
 //                    and tools/benchdiff)
 //   --quick          smaller problem sizes / fewer sweep points (CI mode)
@@ -12,12 +11,6 @@
 //                    to --jobs 1 apart from wall-clock fields: points merge
 //                    into the result in submission order regardless of
 //                    completion order (bench/sweep_pool.hpp)
-//   --engine-threads <n>
-//                    run each simulation point's node-card shards on n
-//                    worker threads (default 1 = serial).  Like --jobs, the
-//                    output is byte-identical to serial apart from
-//                    wall-clock fields (src/sim/shard.hpp); the two flags
-//                    compose (jobs x engine-threads worker threads total)
 //   --trace <path>   export the newest simulated run as Chrome/Perfetto
 //                    trace-event JSON (load at https://ui.perfetto.dev or
 //                    summarize with tools/traceview)
@@ -59,7 +52,6 @@ class BenchObserver;
 namespace emusim::bench {
 
 struct Options {
-  std::string csv_path;
   std::string json_path;
   bool quick = false;
   std::string filter;
@@ -67,10 +59,6 @@ struct Options {
   /// Deliberately excluded from the config fingerprint: any --jobs value
   /// produces the same simulated results.
   int jobs = 0;
-  /// Worker threads for each point's sharded engine (1 = serial).  Also
-  /// excluded from the config fingerprint: like --jobs, any value produces
-  /// the same simulated results.
-  int engine_threads = 1;
   std::string trace_path;
   int trace_cap = 1 << 16;
   bool counters = false;
@@ -85,7 +73,7 @@ std::string usage(const std::string& bench_name);
 bool parse_options(int argc, char** argv, Options* out, std::string* err);
 
 /// One bench run: parses flags (exiting on bad usage), collects series
-/// points, and on done() prints per-table pivots and writes CSV/JSON.
+/// points, and on done() prints per-table pivots and writes JSON.
 class Harness {
  public:
   /// Prints usage and exits(2) on a flag error; exits(0) after printing
@@ -130,8 +118,8 @@ class Harness {
   /// self-verification fails — results after a failed run are meaningless.
   [[noreturn]] void fail(const std::string& msg);
 
-  /// Print tables, write CSV/JSON as requested.  Returns the process exit
-  /// code: 0, or 1 when a requested output file could not be written.
+  /// Print tables, write JSON as requested.  Returns the process exit code:
+  /// 0, or 1 when a requested output file could not be written.
   int done();
 
   const report::BenchResult& result() const { return result_; }
@@ -156,7 +144,6 @@ class Harness {
 
   report::ResultSeries& series_slot(const std::string& name);
   void print_tables() const;
-  bool write_csv() const;
   /// Label counter deltas from runs since the last add() with this point's
   /// phase name and collect them for the result's observe blob.
   void absorb_pending_counters(const std::string& series,

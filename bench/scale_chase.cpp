@@ -11,7 +11,7 @@
 //
 // Per-point extras:
 //   engine_events   — Σ DES events processed (deterministic engine-work
-//                     measure; identical across --jobs/--engine-threads)
+//                     measure; identical across --jobs)
 //   events_per_sec  — engine_events over host wall time (the engine-speed
 //                     headline; wall-derived, so reported but never gated)
 //   mem_peak_bytes  — peak host bytes materialized by the machine's views

@@ -116,8 +116,8 @@ int main(int argc, char** argv) {
 
   for (const Backend& be : backends) {
     if (!h.enabled(be.series)) continue;
-    // The 2-node config exists to exercise the sharded engine (it is the
-    // --engine-threads determinism coverage); one skewed point suffices.
+    // The 2-node config exists to exercise the windowed shard schedule;
+    // one skewed point suffices.
     const bool all_processes = be.series != "emu2";
     for (int i = 0; i < 3; ++i) {
       const serve::Arrival a = processes[i];

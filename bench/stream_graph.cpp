@@ -110,8 +110,8 @@ int main(int argc, char** argv) {
                                     graph::EdgeDist::rmat};
   for (const Backend& be : backends) {
     if (!h.enabled(be.series)) continue;
-    // emu2 exists to exercise the sharded engine (--engine-threads
-    // determinism coverage); one skewed point suffices.
+    // emu2 exists to exercise the windowed shard schedule; one skewed
+    // point suffices.
     const bool all_dists = be.series != "emu2";
     for (int i = 0; i < 2; ++i) {
       const graph::EdgeDist dist = dists[i];

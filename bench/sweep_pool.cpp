@@ -7,7 +7,6 @@
 #include <stdexcept>
 
 #include "bench_util.hpp"
-#include "emu/machine.hpp"
 #include "report/observe.hpp"
 #include "sim/random.hpp"
 
@@ -100,10 +99,6 @@ void SweepPool::submit(std::function<void(PointSink&)> job) {
 }
 
 void SweepPool::worker() {
-  // Each worker carries the harness's --engine-threads value in its own
-  // thread-local, so every machine a job constructs here runs its shards
-  // with that parallelism (emu::set_engine_threads).
-  emu::set_engine_threads(h_.opt().engine_threads);
   for (;;) {
     Slot* slot = nullptr;
     std::size_t index = 0;

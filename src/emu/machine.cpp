@@ -8,11 +8,6 @@ namespace {
 // threads and workers cannot see each other's machines.
 thread_local MachineObserver* g_machine_observer = nullptr;
 
-// Per-thread intra-point engine parallelism (see set_engine_threads()).
-// Thread-local for the same reason as the observer: each sweep worker
-// decides independently how its machines run their shards.
-thread_local int g_engine_threads = 1;
-
 // Per-thread run telemetry (see RunTelemetry in the header): machines fold
 // their engine event counts and footprint peak in at destruction; benches
 // consume with take_run_telemetry() after a point's machines are gone.
@@ -28,12 +23,9 @@ MachineObserver* set_machine_observer(MachineObserver* obs) {
 MachineObserver* machine_observer() { return g_machine_observer; }
 
 int set_engine_threads(int n) {
-  const int prev = g_engine_threads;
-  g_engine_threads = n < 1 ? 1 : n;
-  return prev;
+  EMUSIM_CHECK(n >= 1);
+  return 1;
 }
-
-int engine_threads() { return g_engine_threads; }
 
 RunTelemetry take_run_telemetry() {
   const RunTelemetry r = g_run_telemetry;

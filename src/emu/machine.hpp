@@ -171,15 +171,10 @@ class MachineObserver {
 MachineObserver* set_machine_observer(MachineObserver* obs);
 MachineObserver* machine_observer();
 
-/// Thread-local intra-point engine parallelism: how many worker threads a
-/// Machine constructed on this thread uses to run its shard engines (one
-/// shard per node card; clamped to the shard count, so single-node
-/// machines are serial).  Like the observer hook, this is thread-local so
-/// the sweep runner can compose `--jobs` (across points) with
-/// `--engine-threads` (within a point) per worker.
-/// Returns the previous value.
+/// Exists only so the frozen simulator-speed benchmark (perfbench/main.cpp)
+/// keeps compiling: every machine runs its shards serially on the thread
+/// that calls run_root().  Checks `n >= 1`, ignores it and returns 1.
 int set_engine_threads(int n);
-int engine_threads();
 
 /// Per-thread run telemetry, accumulated as machines are destroyed: the
 /// engine-speed and memory-footprint numbers the bench harness attaches to
@@ -187,7 +182,7 @@ int engine_threads();
 /// see bench/bench_util.hpp).  Thread-local for the same reason as the
 /// observer hook: each sweep worker's points must see only their own
 /// machines.  Both fields are wall-clock-free and therefore deterministic
-/// across --jobs and --engine-threads.
+/// across --jobs.
 struct RunTelemetry {
   /// Σ over destroyed machines of Σ over shards of events_processed().
   std::uint64_t engine_events = 0;
@@ -245,7 +240,7 @@ class Machine {
   sim::Engine& shard_engine(int s) {
     return set_.shard(static_cast<std::size_t>(s));
   }
-  /// The stats block a shard's worker may mutate.  Single shard: the public
+  /// The stats block a shard's events mutate.  Single shard: the public
   /// `stats` itself (mid-run reads stay exact); sharded: a per-shard block,
   /// folded into `stats` at the end of every run_root.
   MachineStats& shard_stats(int s) {
@@ -279,7 +274,7 @@ class Machine {
   /// Record a trace event from shard `shard`.  Single shard: straight into
   /// the tracer (the serial path, byte-identical to the old engine).
   /// Sharded: into the shard's staging buffer, merged into the tracer at
-  /// every window barrier in canonical (t, shard) order.
+  /// every window drain in canonical (t, shard) order.
   void record_trace(int shard, Time t, sim::TraceKind kind, std::int32_t a,
                     std::int32_t b = -1, std::uint64_t arg = 0,
                     std::int32_t tid = -1) {
@@ -294,9 +289,9 @@ class Machine {
 
   /// Next simulated thread id.  Ids are striped by creation shard
   /// (counter * num_shards + shard) so allocation is shard-local and
-  /// deterministic regardless of worker-thread count; a single shard
-  /// degenerates to the old monotonic sequence.  Stamped into trace records
-  /// so exports can follow one thread across nodelets.
+  /// deterministic; a single shard degenerates to the old monotonic
+  /// sequence.  Stamped into trace records so exports can follow one thread
+  /// across nodelets.
   int alloc_thread_id(int shard) {
     return next_tid_[static_cast<std::size_t>(shard)]++ * num_shards() + shard;
   }
@@ -307,15 +302,14 @@ class Machine {
   ///
   /// Multi-node machines run their shards under conservative time windows
   /// with lookahead = the inter-node latency (the minimum latency of any
-  /// cross-shard interaction), on engine_threads() workers.  The thread
-  /// count never changes the simulation: shard structure is fixed by the
-  /// config, and cross-shard messages are merged in a canonical order.
+  /// cross-shard interaction).  Shard structure is fixed by the config, and
+  /// cross-shard messages are merged in a canonical order.
   template <class F>
   Time run_root(F body) {
     const Time t0 = engine().now();
     start_fabric_thread(/*birth=*/0, /*src=*/0, /*parent=*/nullptr,
                         std::move(body), /*via_fabric=*/false);
-    const Time t1 = set_.run(cfg_.internode_latency, engine_threads());
+    const Time t1 = set_.run(cfg_.internode_latency);
     fold_stats();
     return t1 - t0;
   }
@@ -487,7 +481,7 @@ class Context {
   /// the owning shard otherwise.  Kernels whose host mutation targets
   /// remote striped data (GUPS xor, histogram bins, MTTKRP rank
   /// accumulations) must use this form: it is what keeps the mutation on
-  /// the owning shard's thread under the sharded engine.
+  /// the owning shard, at its simulated time, under the sharded engine.
   template <class Apply>
   void atomic_remote(int nlet, std::uint64_t addr, Apply apply) {
     const int ds = machine_->node_index_of(nlet);
@@ -614,7 +608,7 @@ class Context {
 
   /// Awaitable: carry this thread across the fabric to `dest_shard`,
   /// arriving one `latency` later.  The continuation rides the cross-shard
-  /// mailbox and resumes on the destination shard's worker; `shard_` is
+  /// mailbox and resumes on the destination shard's queue; `shard_` is
   /// retargeted at suspension so everything after the hop charges the
   /// destination.  (Same-shard hops — possible only when the machine has a
   /// single shard — degenerate to a plain sleep.)

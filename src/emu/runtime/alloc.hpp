@@ -21,9 +21,8 @@
 // used only for address/home math — the at-scale benches sweep 2^30-element
 // regions this way — costs O(participating nodelets) bookkeeping and zero
 // element storage, which is what makes billion-element regions on 256-1024
-// nodelet configs feasible.  Materialization is thread-safe (CAS-installed
-// chunks): kernels capture `&view[i]` host pointers from non-owner shards
-// of the windowed parallel engine, so chunks never move once installed.
+// nodelet configs feasible.  Kernels capture `&view[i]` host pointers from
+// non-owner shards, so chunks never move once installed.
 //
 // Views provide address/home mapping for the timed path and plain element
 // access for the functional path.  Hot kernels use the mapping directly:
@@ -36,7 +35,6 @@
 // The `load` convenience coroutine bundles those steps for cold paths.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -54,21 +52,13 @@ namespace detail {
 /// Lazily materialized per-nodelet host chunks with footprint accounting.
 /// Chunk sizes are fixed at construction; storage appears on first touch
 /// (zero-initialized, matching the old dense mirror's semantics) and is
-/// charged to the machine's HostFootprint.  chunk() is safe to race from
-/// any event-queue shard: the loser of the install CAS frees its copy, and an
-/// installed chunk's address never changes.
+/// charged to the machine's HostFootprint.  An installed chunk's address
+/// never changes: kernels keep `&view[i]` host pointers across suspensions.
 template <class T>
 class LazyChunks {
  public:
   LazyChunks(std::shared_ptr<HostFootprint> fp, std::vector<std::size_t> sizes)
-      : fp_(std::move(fp)), sizes_(std::move(sizes)) {
-    if (!sizes_.empty()) {
-      slots_ = std::make_unique<std::atomic<T*>[]>(sizes_.size());
-      for (std::size_t d = 0; d < sizes_.size(); ++d) {
-        slots_[d].store(nullptr, std::memory_order_relaxed);
-      }
-    }
-  }
+      : fp_(std::move(fp)), sizes_(std::move(sizes)), slots_(sizes_.size()) {}
 
   ~LazyChunks() { release(); }
 
@@ -77,6 +67,7 @@ class LazyChunks {
         sizes_(std::move(o.sizes_)),
         slots_(std::move(o.slots_)) {
     o.sizes_.clear();
+    o.slots_.clear();
   }
   LazyChunks& operator=(LazyChunks&& o) noexcept {
     if (this != &o) {
@@ -85,6 +76,7 @@ class LazyChunks {
       sizes_ = std::move(o.sizes_);
       slots_ = std::move(o.slots_);
       o.sizes_.clear();
+      o.slots_.clear();
     }
     return *this;
   }
@@ -96,13 +88,11 @@ class LazyChunks {
 
   /// The chunk for nodelet-slot `d`, materializing it on first touch.
   T* chunk(std::size_t d) const {
-    T* p = slots_[d].load(std::memory_order_acquire);
+    T* p = slots_[d].get();
     return p != nullptr ? p : materialize(d);
   }
 
-  bool materialized(std::size_t d) const {
-    return slots_[d].load(std::memory_order_acquire) != nullptr;
-  }
+  bool materialized(std::size_t d) const { return slots_[d] != nullptr; }
 
   /// Host bytes of element storage currently materialized.
   std::uint64_t materialized_bytes() const {
@@ -116,32 +106,24 @@ class LazyChunks {
  private:
   T* materialize(std::size_t d) const {
     EMUSIM_CHECK(sizes_[d] > 0);
-    T* fresh = new T[sizes_[d]]();
-    T* expected = nullptr;
-    if (slots_[d].compare_exchange_strong(expected, fresh,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      if (fp_) fp_->add(sizes_[d] * sizeof(T));
-      return fresh;
-    }
-    delete[] fresh;  // another shard won the install race
-    return expected;
+    slots_[d] = std::make_unique<T[]>(sizes_[d]);
+    if (fp_) fp_->add(sizes_[d] * sizeof(T));
+    return slots_[d].get();
   }
 
   void release() {
-    for (std::size_t d = 0; d < sizes_.size(); ++d) {
-      T* p = slots_[d].load(std::memory_order_acquire);
-      if (p == nullptr) continue;
-      delete[] p;
-      if (fp_) fp_->sub(sizes_[d] * sizeof(T));
+    if (fp_) {
+      for (std::size_t d = 0; d < sizes_.size(); ++d) {
+        if (materialized(d)) fp_->sub(sizes_[d] * sizeof(T));
+      }
     }
     sizes_.clear();
-    slots_.reset();
+    slots_.clear();
   }
 
   std::shared_ptr<HostFootprint> fp_;
   std::vector<std::size_t> sizes_;
-  mutable std::unique_ptr<std::atomic<T*>[]> slots_;
+  mutable std::vector<std::unique_ptr<T[]>> slots_;
 };
 
 }  // namespace detail

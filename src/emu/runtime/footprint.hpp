@@ -13,11 +13,12 @@
 // actually touched — a view used purely for address/home math (the
 // at-scale benches) costs no host memory at all.
 //
-// Counters are atomics because chunk materialization can happen from any
-// shard worker of the windowed parallel engine (src/sim/shard.hpp).
+// Plain counters: a machine's shards all run on the thread that called
+// run_root() (src/sim/shard.hpp), and --jobs gives each sweep point its own
+// machines.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 
 namespace emusim::emu {
@@ -26,29 +27,21 @@ class HostFootprint {
  public:
   /// Register `bytes` of freshly materialized host storage.
   void add(std::uint64_t bytes) {
-    const std::uint64_t cur =
-        current_.fetch_add(bytes, std::memory_order_relaxed) + bytes;
-    std::uint64_t p = peak_.load(std::memory_order_relaxed);
-    while (cur > p &&
-           !peak_.compare_exchange_weak(p, cur, std::memory_order_relaxed)) {
-    }
+    current_ += bytes;
+    peak_ = std::max(peak_, current_);
   }
 
   /// Release `bytes` (view destruction).
-  void sub(std::uint64_t bytes) {
-    current_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
+  void sub(std::uint64_t bytes) { current_ -= bytes; }
 
   /// Host bytes currently materialized across all live views.
-  std::uint64_t current() const {
-    return current_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t current() const { return current_; }
   /// High-water mark since construction (never reset: peak is the metric).
-  std::uint64_t peak() const { return peak_.load(std::memory_order_relaxed); }
+  std::uint64_t peak() const { return peak_; }
 
  private:
-  std::atomic<std::uint64_t> current_{0};
-  std::atomic<std::uint64_t> peak_{0};
+  std::uint64_t current_ = 0;
+  std::uint64_t peak_ = 0;
 };
 
 }  // namespace emusim::emu

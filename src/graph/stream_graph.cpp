@@ -124,7 +124,7 @@ bool StreamGraph::insert_half(std::uint32_t u, std::uint32_t v) {
   auto& list = adj_[u];
   if (std::find(list.begin(), list.end(), v) != list.end()) return false;
   list.push_back(v);
-  half_edges_.fetch_add(1, std::memory_order_relaxed);
+  ++half_edges_;
   return true;
 }
 

@@ -13,8 +13,8 @@
 //            home nodelet: it scans the list there, CAS-appends the new
 //            half-edge, then migrates to the destination's home for the
 //            mirror half.  All mutation happens on the owning nodelet's
-//            event-queue shard, so insertion is lock-free on the host side and
-//            deterministic under --engine-threads (the serve_emu pattern).
+//            event-queue shard, so insertion needs no host-side lock and its order
+//            is fixed by the event schedule (the serve_emu pattern).
 //   xeon:: — a worker pool drains each batch, taking per-vertex-stripe
 //            writer latches (lowest stripe first, so two-latch inserts
 //            cannot deadlock) around the scan-and-append critical section —
@@ -28,7 +28,6 @@
 // serve::PhasedLatency recorder the serving bench uses.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -114,9 +113,7 @@ class StreamGraph {
     return adj_[u];
   }
   /// Committed half-edges (2x the undirected edge count).
-  std::uint64_t half_edges() const {
-    return half_edges_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t half_edges() const { return half_edges_; }
 
   /// Sorted-CSR snapshot of the current state; equal (row_ptr and adj) to
   /// graph::from_edge_list over the committed inserts.
@@ -125,9 +122,7 @@ class StreamGraph {
  private:
   int nodelets_;
   std::vector<std::vector<std::uint32_t>> adj_;
-  /// Each adjacency list is mutated only by the event-queue shard owning its
-  /// home nodelet, but this total crosses shards — the one atomic.
-  std::atomic<std::uint64_t> half_edges_{0};
+  std::uint64_t half_edges_ = 0;
 };
 
 struct StreamResult {

@@ -94,11 +94,11 @@ Op<> relax_vertex(Context& ctx, BfsState* st, std::uint32_t u,
     co_await ctx.issue(kBfsCyclesPerEdge);
     const int home_v = st->home(v);
     // Cheap already-claimed pre-check, only against state this shard owns:
-    // claims to v are serialized on v's home shard, so peeking at
-    // dist_host[v] from another shard would race with a claim running
-    // concurrently in the same window (nondeterministic under
-    // --engine-threads).  An off-shard v migrates and re-checks
-    // authoritatively below, exactly as before.
+    // claims to v are serialized on v's home shard, and shards run each
+    // window one after another, so peeking at dist_host[v] from another
+    // shard could see a claim made later in simulated time in the same
+    // window.  An off-shard v migrates and re-checks authoritatively
+    // below, exactly as before.
     if (ctx.shard() == ctx.machine().node_index_of(home_v) &&
         st->dist_host[v] != kBfsUnreached) {
       continue;

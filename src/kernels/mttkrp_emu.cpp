@@ -176,8 +176,7 @@ Op<> one_d_range(Context& ctx, OneDState* st, std::size_t lo, std::size_t hi) {
     // M lives on nodelet 0: accumulate with memory-side remote atomics,
     // one per rank column.  Each host add rides its atomic and executes on
     // M's owning shard at delivery, so the accumulation order (and the
-    // floating-point result) is fixed by the event schedule, not by which
-    // worker thread ran which shard.
+    // floating-point result) is fixed by the event schedule.
     const double v = st->x->val[e];
     const double* br = st->b->row(st->x->j[e]);
     const double* cr = st->c->row(st->x->k[e]);

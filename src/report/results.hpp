@@ -1,7 +1,7 @@
 // Versioned machine-readable bench-result model.  Every bench binary emits
-// one of these as JSON (next to its tidy CSV); tools/shapecheck and
-// tools/benchdiff load them back.  The schema is documented in
-// docs/RESULTS.md; bump kResultsSchemaVersion on incompatible changes.
+// one of these as JSON; tools/shapecheck and tools/benchdiff load them back.
+// The schema is documented in docs/RESULTS.md; bump kResultsSchemaVersion on
+// incompatible changes.
 #pragma once
 
 #include <string>

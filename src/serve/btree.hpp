@@ -22,7 +22,7 @@
 // Determinism: node ids and simulated addresses depend only on the order of
 // structure changes within one family, every family is mutated only on its
 // owning shard, and each shard's event order is deterministic — so the
-// final forest is identical across --jobs and --engine-threads settings.
+// final forest is identical across --jobs settings.
 #pragma once
 
 #include <cstdint>

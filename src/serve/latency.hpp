@@ -6,7 +6,7 @@
 // most 1/32 (~3.1%).  Storage is a fixed array (no allocation on the record
 // path), recording is O(1), and merging two recorders is element-wise
 // addition — which is what makes per-shard recording under the windowed
-// parallel engine deterministic: bucket increments commute, so any shard
+// shard schedule deterministic: bucket increments commute, so any shard
 // interleaving folds to the same histogram.
 //
 // percentile() uses the nearest-rank definition and returns the bucket's

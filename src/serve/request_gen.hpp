@@ -16,8 +16,8 @@
 //
 // Every choice derives from sim::Rng over an explicit seed, so a stream is
 // a pure function of its parameters: the same (params, seed) produce a
-// byte-identical stream on every platform — the property the --jobs /
-// --engine-threads determinism gates rely on.
+// byte-identical stream on every platform — the property the --jobs
+// determinism gate relies on.
 #pragma once
 
 #include <cstdint>

@@ -110,7 +110,7 @@ class Engine {
 
   /// Process all events with a timestamp strictly before `end`, leaving the
   /// clock at the last processed event rather than bumping it to `end`.
-  /// Building block for the windowed parallel driver (EngineSet): a shard
+  /// Building block for the windowed shard schedule (EngineSet): a shard
   /// executes one conservative time window, then the driver exchanges
   /// cross-shard messages — which carry timestamps >= `end` and must still
   /// satisfy the when > now() heap routing — and opens the next window.
@@ -168,7 +168,7 @@ class Engine {
   auto sleep_until(Time when) { return sleep(when > now_ ? when - now_ : 0); }
 
  private:
-  /// The windowed parallel driver steers shards by their next pending
+  /// The windowed shard schedule steers shards by their next pending
   /// timestamp (next_when / idle) between windows.
   friend class EngineSet;
 

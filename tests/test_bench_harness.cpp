@@ -31,19 +31,16 @@ TEST(ParseOptions, DefaultsWithNoFlags) {
   std::string err;
   ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
   EXPECT_FALSE(opt.quick);
-  EXPECT_TRUE(opt.csv_path.empty());
   EXPECT_TRUE(opt.json_path.empty());
   EXPECT_FALSE(opt.help);
 }
 
 TEST(ParseOptions, ParsesAllCommonFlags) {
-  Argv a({"--quick", "--csv", "out.csv", "--json", "out.json", "--filter",
-          "spawn"});
+  Argv a({"--quick", "--json", "out.json", "--filter", "spawn"});
   Options opt;
   std::string err;
   ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
   EXPECT_TRUE(opt.quick);
-  EXPECT_EQ(opt.csv_path, "out.csv");
   EXPECT_EQ(opt.json_path, "out.json");
   EXPECT_EQ(opt.filter, "spawn");
 }
@@ -57,7 +54,7 @@ TEST(ParseOptions, RejectsUnknownFlag) {
 }
 
 TEST(ParseOptions, RejectsTrailingFlagMissingArgument) {
-  for (const char* flag : {"--csv", "--json", "--filter", "--jobs"}) {
+  for (const char* flag : {"--json", "--filter", "--jobs"}) {
     Argv a({flag});
     Options opt;
     std::string err;
@@ -72,6 +69,10 @@ TEST(ParseOptions, ParsesJobs) {
   std::string err;
   ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
   EXPECT_EQ(opt.jobs, 8);
+
+  Argv b({"--jobs=2"});
+  ASSERT_TRUE(parse_options(b.argc(), b.argv(), &opt, &err)) << err;
+  EXPECT_EQ(opt.jobs, 2);
 }
 
 TEST(ParseOptions, JobsDefaultsToAuto) {
@@ -91,34 +92,13 @@ TEST(ParseOptions, RejectsBadJobsValues) {
   }
 }
 
-TEST(ParseOptions, ParsesEngineThreadsBothForms) {
-  Argv a({"--engine-threads", "4", "--jobs=2"});
+TEST(ParseOptions, RejectsEngineThreadsAsUnknownFlag) {
+  Argv a({"--engine-threads", "4"});
   Options opt;
   std::string err;
-  ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
-  EXPECT_EQ(opt.engine_threads, 4);
-  EXPECT_EQ(opt.jobs, 2);
-
-  Argv b({"--engine-threads=16"});
-  ASSERT_TRUE(parse_options(b.argc(), b.argv(), &opt, &err)) << err;
-  EXPECT_EQ(opt.engine_threads, 16);
-}
-
-TEST(ParseOptions, EngineThreadsDefaultsToSerial) {
-  Argv a({});
-  Options opt;
-  std::string err;
-  ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
-  EXPECT_EQ(opt.engine_threads, 1);
-}
-
-TEST(ParseOptions, RejectsBadEngineThreadsValues) {
-  for (const char* n : {"0", "-1", "x", "4096"}) {
-    Argv a({"--engine-threads", n});
-    Options opt;
-    std::string err;
-    EXPECT_FALSE(parse_options(a.argc(), a.argv(), &opt, &err)) << n;
-  }
+  EXPECT_FALSE(parse_options(a.argc(), a.argv(), &opt, &err));
+  EXPECT_NE(err.find("unknown flag '--engine-threads'"), std::string::npos)
+      << err;
 }
 
 TEST(ParseOptions, RejectsBarePositionalArgument) {
@@ -218,7 +198,7 @@ TEST(Usage, MentionsEveryFlag) {
   EXPECT_NE(u.find("usage:"), std::string::npos);
   EXPECT_NE(u.find("some_bench"), std::string::npos);
   for (const char* flag :
-       {"--csv", "--json", "--quick", "--filter", "--jobs",
+       {"--json", "--quick", "--filter", "--jobs",
         "--trace", "--trace-cap", "--counters", "--help"}) {
     EXPECT_NE(u.find(flag), std::string::npos) << flag;
   }

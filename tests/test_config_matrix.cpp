@@ -122,7 +122,7 @@ TEST(ConfigValidationDeathTest, RejectsNonPhysicalParameters) {
   c.migrations_per_sec = -1.0;
   EXPECT_DEATH(c.validate(), "EMUSIM_CHECK");
   // Multi-node configs need a positive inter-node latency: the windowed
-  // parallel engine's lookahead is exactly that latency, so zero would
+  // shard schedule's lookahead is exactly that latency, so zero would
   // deadlock window scheduling.
   c = emu::SystemConfig::fullspeed_multinode(2);
   c.internode_latency = 0;

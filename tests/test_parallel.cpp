@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 
 namespace emusim::emu {

@@ -1,11 +1,8 @@
-// Reporting helpers: table layout and CSV escaping/round-tripping.
+// Reporting helpers: table layout.
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
-#include "report/csv.hpp"
 #include "report/table.hpp"
 
 namespace emusim::report {
@@ -46,61 +43,6 @@ TEST(Table, PrintsAlignedColumns) {
   const auto p2 = out.find("longer");
   ASSERT_NE(p1, std::string::npos);
   ASSERT_NE(p2, std::string::npos);
-}
-
-TEST(Csv, EscapingRules) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("with,comma"), "\"with,comma\"");
-  EXPECT_EQ(csv_escape("with\"quote"), "\"with\"\"quote\"");
-  EXPECT_EQ(csv_escape("multi\nline"), "\"multi\nline\"");
-  // Carriage returns (e.g. from Windows-origin input) must be quoted too,
-  // or a bare \r splits the record in most readers.
-  EXPECT_EQ(csv_escape("carriage\rreturn"), "\"carriage\rreturn\"");
-  EXPECT_EQ(csv_escape("crlf\r\nend"), "\"crlf\r\nend\"");
-}
-
-TEST(Csv, EmptyPathDisablesSilently) {
-  CsvWriter w("", {"a", "b"});
-  EXPECT_FALSE(w.enabled());
-  EXPECT_TRUE(w.ok());  // disabled on purpose is not an error
-  w.row({"1", "2"});    // must be a no-op, not a crash
-}
-
-TEST(Csv, UnopenablePathReportsError) {
-  // Regression: a nonempty path that fails to open used to silently discard
-  // every row, indistinguishable from the deliberate "" no-op mode.
-  CsvWriter w("/nonexistent_dir_emusim/out.csv", {"a", "b"});
-  EXPECT_FALSE(w.enabled());
-  EXPECT_FALSE(w.ok());
-  w.row({"1", "2"});  // still a safe no-op
-}
-
-TEST(Csv, CarriageReturnFieldRoundTrips) {
-  const std::string path = "/tmp/emusim_test_csv_cr.csv";
-  {
-    CsvWriter w(path, {"x"});
-    ASSERT_TRUE(w.ok());
-    w.row({"a\rb"});
-  }
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), "x\n\"a\rb\"\n");
-  std::remove(path.c_str());
-}
-
-TEST(Csv, WritesHeaderAndRows) {
-  const std::string path = "/tmp/emusim_test_csv.csv";
-  {
-    CsvWriter w(path, {"x", "y"});
-    EXPECT_TRUE(w.enabled());
-    w.row({"1", "a,b"});
-  }
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), "x,y\n1,\"a,b\"\n");
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -1,24 +1,17 @@
 #!/usr/bin/env python3
 """Check that a bench produces identical results serial vs parallel.
 
-Runs the given bench binary twice — with the chosen parallelism flag at 1
-and at N — captures the JSON result of each, strips the host-wall-clock
-fields (wall_seconds and the events_per_sec point extra), and requires the
-remainder to be byte-identical.
+Runs the given bench binary twice — with --jobs 1 and --jobs N — captures
+the JSON result of each, strips the host-wall-clock fields (wall_seconds
+and the events_per_sec point extra), and requires the remainder to be
+byte-identical.  That is the sweep runner's guarantee
+(bench/sweep_pool.hpp): points merge in submission order regardless of
+completion order.
 
-Two flags carry that guarantee and both are gated with this script:
-
-  --flag jobs            the sweep runner (bench/sweep_pool.hpp): points
-                         merge in submission order regardless of
-                         completion order
-  --flag engine-threads  the windowed parallel engine (src/sim/shard.hpp):
-                         per-node shards under conservative time windows,
-                         canonical mailbox drain order
-
-Extra arguments after the thread count are passed verbatim to both runs
+Extra arguments after the job count are passed verbatim to both runs
 (e.g. `--filter emu2` to check one slice of a bench).
 
-usage: check_jobs_determinism.py [--flag NAME] <bench-binary> [n] [extra...]
+usage: check_jobs_determinism.py <bench-binary> [n] [extra...]
 """
 import json
 import subprocess
@@ -40,7 +33,7 @@ def strip_wall_fields(result):
     return result
 
 
-def run(binary, flag, n, extra):
+def run(binary, n, extra):
     # A listed-but-unbuilt bench must fail the gate, not die in a confusing
     # FileNotFoundError inside subprocess: CI loops over bench names, and a
     # typo'd or dropped binary silently skipping would hollow out the gate.
@@ -51,7 +44,7 @@ def run(binary, flag, n, extra):
     with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
         path = tmp.name
     try:
-        cmd = [binary, "--quick", f"--{flag}", str(n), "--json", path] + extra
+        cmd = [binary, "--quick", "--jobs", str(n), "--json", path] + extra
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n"
@@ -64,26 +57,20 @@ def run(binary, flag, n, extra):
 
 def main():
     args = sys.argv[1:]
-    flag = "jobs"
-    if args and args[0] == "--flag":
-        if len(args) < 2:
-            sys.exit(__doc__)
-        flag = args[1]
-        args = args[2:]
     if not args:
         sys.exit(__doc__)
     binary = args[0]
     n = int(args[1]) if len(args) > 1 else 8
     extra = args[2:]
-    serial = run(binary, flag, 1, extra)
-    parallel = run(binary, flag, n, extra)
+    serial = run(binary, 1, extra)
+    parallel = run(binary, n, extra)
     if serial != parallel:
         a = json.dumps(serial, indent=1, sort_keys=True).splitlines()
         b = json.dumps(parallel, indent=1, sort_keys=True).splitlines()
         diff = [f"-{x}\n+{y}" for x, y in zip(a, b) if x != y]
-        sys.exit(f"{binary}: --{flag} 1 vs --{flag} {n} results differ "
+        sys.exit(f"{binary}: --jobs 1 vs --jobs {n} results differ "
                  f"after stripping wall-clock fields:\n" + "\n".join(diff[:40]))
-    print(f"{os.path.basename(binary)}: --{flag} 1 == --{flag} {n} "
+    print(f"{os.path.basename(binary)}: --jobs 1 == --jobs {n} "
           f"({len(serial.get('series', []))} series) OK")
 
 
