@@ -11,6 +11,7 @@
 #include "emu/config.hpp"
 #include "report/observe.hpp"
 #include "report/table.hpp"
+#include "serve/latency.hpp"
 #include "xeon/config.hpp"
 
 namespace emusim::bench {
@@ -361,6 +362,16 @@ void record_config(Harness& h, const xeon::SystemConfig& cfg,
   h.config(prefix + "channels", static_cast<long long>(cfg.channels));
   h.config(prefix + "remote_socket_latency_ps",
            static_cast<long long>(cfg.remote_socket_latency));
+}
+
+void add_phase_p99s(const serve::PhasedLatency& lat,
+                    std::vector<std::pair<std::string, double>>* extra) {
+  for (std::size_t i = 0; i < lat.num_phases(); ++i) {
+    const auto& phase = lat.phase(i);
+    if (phase.count() == 0) continue;
+    extra->emplace_back("lat_" + lat.phase_name(i) + "_p99_us",
+                        static_cast<double>(phase.p99()) * 1e-6);
+  }
 }
 
 }  // namespace emusim::bench

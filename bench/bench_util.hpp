@@ -48,6 +48,9 @@ struct SystemConfig;
 namespace emusim::report {
 class BenchObserver;
 }
+namespace emusim::serve {
+class PhasedLatency;
+}
 
 namespace emusim::bench {
 
@@ -124,13 +127,6 @@ class Harness {
 
   const report::BenchResult& result() const { return result_; }
 
-  /// Attach the tail-latency blob ("series/label" -> histogram JSON) that
-  /// serving benches emit alongside their points.  Stored under the
-  /// result's additive "latency" key.
-  void set_latency(report::Json blob) {
-    result_.latency = std::move(blob);
-  }
-
   /// The --trace/--counters observer, or nullptr when neither flag is set.
   /// SweepPool folds per-job observers into this one at the merge barrier.
   report::BenchObserver* observer() { return observer_.get(); }
@@ -167,5 +163,11 @@ void record_config(Harness& h, const emu::SystemConfig& cfg,
                    const std::string& prefix = "");
 void record_config(Harness& h, const xeon::SystemConfig& cfg,
                    const std::string& prefix = "");
+
+/// Append one "lat_<phase>_p99_us" point extra per phase of `lat` that
+/// recorded at least one sample, in phase order.  tools/benchdiff reports
+/// them like the other lat_* extras.
+void add_phase_p99s(const serve::PhasedLatency& lat,
+                    std::vector<std::pair<std::string, double>>* extra);
 
 }  // namespace emusim::bench

@@ -7,18 +7,18 @@
 //
 //   * On the Xeon baseline, Zipf skew funnels inserts through one family's
 //     writer latch, so p99 rises while the cache-warmed median holds — the
-//     zipf/uniform p99 ordering is a CI shape gate.
+//     zipf/uniform p99 ordering, overall and on inserts alone, is a CI
+//     shape gate.
 //   * On the Emu, requests migrate to the owning nodelet and mutate without
 //     locks; skew queues one nodelet's cores, lifting p50 and p99 together,
 //     so the p99/p50 ratio stays bounded — also a gate.
 //   * Closed-loop batch scaling (table B) is monotone non-decreasing up to
 //     a knee where the nodelets saturate — gated with monotone_nondec.
 //
-// Per-point histograms (serve::PhasedLatency) are embedded in the result
-// JSON under the additive "latency" key ("series/label" -> blob); point
-// extras carry the lat_p50_us/lat_p95_us/lat_p99_us summaries that
-// tools/shapecheck and tools/benchdiff read through the normal metric path.
-#include <deque>
+// Point extras carry the overall lat_p50_us/lat_p95_us/lat_p99_us/
+// lat_max_us summaries and one lat_<phase>_p99_us per op phase (lookup,
+// insert, scan), which tools/shapecheck and tools/benchdiff read through
+// the normal metric path.
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,12 +41,15 @@ std::vector<std::pair<std::string, double>> point_extras(
   if (r.ops > 0 && !r.range_ops.empty()) {
     hot = static_cast<double>(r.range_ops[0]) / static_cast<double>(r.ops);
   }
-  return {{"sim_ms", to_seconds(r.elapsed) * 1e3},
-          {"lat_p50_us", to_us(lat.p50())},
-          {"lat_p95_us", to_us(lat.p95())},
-          {"lat_p99_us", to_us(lat.p99())},
-          {"lat_max_us", to_us(lat.max())},
-          {"hot_range_share", hot}};
+  std::vector<std::pair<std::string, double>> extra = {
+      {"sim_ms", to_seconds(r.elapsed) * 1e3},
+      {"lat_p50_us", to_us(lat.p50())},
+      {"lat_p95_us", to_us(lat.p95())},
+      {"lat_p99_us", to_us(lat.p99())},
+      {"lat_max_us", to_us(lat.max())},
+      {"hot_range_share", hot}};
+  bench::add_phase_p99s(r.lat, &extra);
+  return extra;
 }
 
 }  // namespace
@@ -74,16 +77,6 @@ int main(int argc, char** argv) {
   h.config("threads", static_cast<long long>(base.threads));
   h.config("seed", static_cast<long long>(base.stream.seed));
   h.axes("batch", "mops_per_sec");
-
-  // Per-point latency blobs, written by jobs into stable slots (deque:
-  // references survive later push_backs) and assembled into the result's
-  // "latency" map after the merge barrier — submission order, so the JSON
-  // is byte-identical across --jobs values.
-  struct LatSlot {
-    std::string key;
-    report::Json blob;
-  };
-  std::deque<LatSlot> lat_slots;
 
   bench::SweepPool pool(h);
 
@@ -122,17 +115,14 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 3; ++i) {
       const serve::Arrival a = processes[i];
       if (!all_processes && a != serve::Arrival::zipf) continue;
-      lat_slots.push_back({be.series + "/" + to_string(a), report::Json()});
-      report::Json* slot = &lat_slots.back().blob;
-      pool.submit([&run_point, &be, table_a, a, i, base,
-                   slot](bench::PointSink& sink) {
+      pool.submit([&run_point, &be, table_a, a, i,
+                   base](bench::PointSink& sink) {
         serve::ServeParams p = base;
         p.stream.process = a;
         sink.table(table_a);
         const auto r = run_point(sink, be, p);
         sink.add_labeled(be.series, to_string(a), static_cast<double>(i),
                          r.mops_per_sec, point_extras(r));
-        *slot = r.lat.to_json();
       });
     }
   }
@@ -148,11 +138,8 @@ int main(int argc, char** argv) {
   for (const Backend& be : sweep_backends) {
     if (!h.enabled(be.series)) continue;
     for (std::uint32_t b : batches) {
-      lat_slots.push_back(
-          {be.series + "/" + std::to_string(b), report::Json()});
-      report::Json* slot = &lat_slots.back().blob;
-      pool.submit([&run_point, &be, table_b, b, base,
-                   slot](bench::PointSink& sink) {
+      pool.submit([&run_point, &be, table_b, b,
+                   base](bench::PointSink& sink) {
         serve::ServeParams p = base;
         p.stream.process = serve::Arrival::zipf;
         p.stream.batch = b;
@@ -161,17 +148,10 @@ int main(int argc, char** argv) {
         const auto r = run_point(sink, be, p);
         sink.add(be.series, static_cast<double>(b), r.mops_per_sec,
                  point_extras(r));
-        *slot = r.lat.to_json();
       });
     }
   }
 
   pool.wait();
-
-  report::Json lat = report::Json::object();
-  for (auto& s : lat_slots) {
-    if (!s.blob.is_null()) lat.set(s.key, std::move(s.blob));
-  }
-  h.set_latency(std::move(lat));
   return h.done();
 }

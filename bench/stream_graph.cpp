@@ -13,9 +13,10 @@
 //     merge-intersection on both backends; counts must agree exactly with
 //     the host reference — the drivers verify, the bench fails otherwise).
 //
-// Per-phase (insert/degree/bfs) histograms ride in the "latency" blob;
-// point extras carry p50/p99 summaries through the normal metric path.
-#include <deque>
+// Point extras carry the overall lat_p50_us/lat_p99_us/lat_max_us
+// summaries and one lat_<phase>_p99_us per phase (insert, degree, bfs) that
+// recorded a sample; table B runs no queries, so its points carry only the
+// insert tail.
 #include <string>
 #include <utility>
 #include <vector>
@@ -39,13 +40,16 @@ std::vector<std::pair<std::string, double>> point_extras(
       r.inserts > 0 ? 1.0 - static_cast<double>(r.new_edges) /
                                 static_cast<double>(r.inserts)
                     : 0.0;
-  return {{"sim_ms", to_seconds(r.elapsed) * 1e3},
-          {"dup_share", dup_share},
-          {"mops_per_sec", r.ops_per_sec / 1e6},
-          {"migrations", static_cast<double>(r.migrations)},
-          {"lat_p50_us", to_us(lat.p50())},
-          {"lat_p99_us", to_us(lat.p99())},
-          {"lat_max_us", to_us(lat.max())}};
+  std::vector<std::pair<std::string, double>> extra = {
+      {"sim_ms", to_seconds(r.elapsed) * 1e3},
+      {"dup_share", dup_share},
+      {"mops_per_sec", r.ops_per_sec / 1e6},
+      {"migrations", static_cast<double>(r.migrations)},
+      {"lat_p50_us", to_us(lat.p50())},
+      {"lat_p99_us", to_us(lat.p99())},
+      {"lat_max_us", to_us(lat.max())}};
+  bench::add_phase_p99s(r.lat, &extra);
+  return extra;
 }
 
 }  // namespace
@@ -74,12 +78,6 @@ int main(int argc, char** argv) {
   h.config("threads", static_cast<long long>(base.threads));
   h.config("seed", static_cast<long long>(base.seed));
   h.axes("batch", "minserts_per_sec");
-
-  struct LatSlot {
-    std::string key;
-    report::Json blob;
-  };
-  std::deque<LatSlot> lat_slots;
 
   bench::SweepPool pool(h);
 
@@ -116,18 +114,14 @@ int main(int argc, char** argv) {
     for (int i = 0; i < 2; ++i) {
       const graph::EdgeDist dist = dists[i];
       if (!all_dists && dist != graph::EdgeDist::rmat) continue;
-      lat_slots.push_back(
-          {be.series + "/" + to_string(dist), report::Json()});
-      report::Json* slot = &lat_slots.back().blob;
-      pool.submit([&run_point, &be, table_a, dist, i, base,
-                   slot](bench::PointSink& sink) {
+      pool.submit([&run_point, &be, table_a, dist, i,
+                   base](bench::PointSink& sink) {
         graph::StreamParams p = base;
         p.dist = dist;
         sink.table(table_a);
         const auto r = run_point(sink, be, p);
         sink.add_labeled(be.series, to_string(dist), static_cast<double>(i),
                          r.inserts_per_sec / 1e6, point_extras(r));
-        *slot = r.lat.to_json();
       });
     }
   }
@@ -143,11 +137,8 @@ int main(int argc, char** argv) {
   for (const Backend& be : sweep_backends) {
     if (!h.enabled(be.series)) continue;
     for (std::uint32_t b : batches) {
-      lat_slots.push_back(
-          {be.series + "/" + std::to_string(b), report::Json()});
-      report::Json* slot = &lat_slots.back().blob;
-      pool.submit([&run_point, &be, table_b, b, base,
-                   slot](bench::PointSink& sink) {
+      pool.submit([&run_point, &be, table_b, b,
+                   base](bench::PointSink& sink) {
         graph::StreamParams p = base;
         p.batch = b;
         p.degree_queries = 0;  // isolate the insert path
@@ -156,7 +147,6 @@ int main(int argc, char** argv) {
         const auto r = run_point(sink, be, p);
         sink.add(be.series, static_cast<double>(b),
                  r.inserts_per_sec / 1e6, point_extras(r));
-        *slot = r.lat.to_json();
       });
     }
   }
@@ -205,11 +195,5 @@ int main(int argc, char** argv) {
   }
 
   pool.wait();
-
-  report::Json lat = report::Json::object();
-  for (auto& s : lat_slots) {
-    if (!s.blob.is_null()) lat.set(s.key, std::move(s.blob));
-  }
-  h.set_latency(std::move(lat));
   return h.done();
 }

@@ -106,7 +106,6 @@ Json BenchResult::to_json() const {
   }
   j.set("series", std::move(arr));
   if (!observe.is_null()) j.set("observe", observe);
-  if (!latency.is_null()) j.set("latency", latency);
   return j;
 }
 
@@ -172,7 +171,6 @@ bool BenchResult::from_json(const Json& j, BenchResult* out,
     r.series.push_back(std::move(s));
   }
   if (const Json* obs = j.find("observe"); obs != nullptr) r.observe = *obs;
-  if (const Json* lat = j.find("latency"); lat != nullptr) r.latency = *lat;
   *out = std::move(r);
   return true;
 }

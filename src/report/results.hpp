@@ -52,19 +52,13 @@ struct BenchResult {
   /// Additive — readers that predate it ignore the key, so the schema
   /// version is unchanged.  Null when the run was not observed.
   Json observe;
-  /// Optional tail-latency payload from online-serving benches: a map of
-  /// "series/label" -> histogram blob (serve::PhasedLatency::to_json, with
-  /// per-phase p50/p95/p99/max and sparse buckets).  Additive like
-  /// `observe`; null for offline sweeps.  Point-level summaries also ride
-  /// the points' extra metrics (lat_p50_us, ...) so shapecheck and
-  /// benchdiff see them through the ordinary metric path.
-  Json latency;
 
   const ResultSeries* find(const std::string& name) const;
 
   Json to_json() const;
   /// Unknown keys are ignored, so files that still carry retired fields
-  /// (such as "reps", which every committed baseline has) load unchanged.
+  /// (such as "reps", or the serving benches' latency histograms) load
+  /// unchanged.
   static bool from_json(const Json& j, BenchResult* out, std::string* err);
 
   /// Serialize to `path`.  Returns false (with a message on stderr) on I/O

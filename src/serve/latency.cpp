@@ -103,26 +103,6 @@ void LatencyRecorder::merge(const LatencyRecorder& o) {
   if (o.max_ > max_) max_ = o.max_;
 }
 
-report::Json LatencyRecorder::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("count", report::Json::number(static_cast<double>(count_)));
-  j.set("max_ps", report::Json::number(static_cast<double>(max_)));
-  j.set("sum_ps", report::Json::number(static_cast<double>(sum_)));
-  j.set("p50_ps", report::Json::number(static_cast<double>(p50())));
-  j.set("p95_ps", report::Json::number(static_cast<double>(p95())));
-  j.set("p99_ps", report::Json::number(static_cast<double>(p99())));
-  report::Json buckets = report::Json::array();
-  for (std::size_t i = 0; i < kNumBuckets; ++i) {
-    if (buckets_[i] == 0) continue;
-    report::Json pair = report::Json::array();
-    pair.push_back(report::Json::number(static_cast<double>(i)));
-    pair.push_back(report::Json::number(static_cast<double>(buckets_[i])));
-    buckets.push_back(std::move(pair));
-  }
-  j.set("buckets", std::move(buckets));
-  return j;
-}
-
 PhasedLatency::PhasedLatency(std::vector<std::string> phases) {
   phases_.reserve(phases.size());
   for (auto& name : phases) phases_.emplace_back(std::move(name),
@@ -142,15 +122,6 @@ void PhasedLatency::merge(const PhasedLatency& o) {
     EMUSIM_CHECK(phases_[i].first == o.phases_[i].first);
     phases_[i].second.merge(o.phases_[i].second);
   }
-}
-
-report::Json PhasedLatency::to_json() const {
-  report::Json j = report::Json::object();
-  j.set("overall", overall_.to_json());
-  report::Json ph = report::Json::object();
-  for (const auto& [name, rec] : phases_) ph.set(name, rec.to_json());
-  j.set("phases", std::move(ph));
-  return j;
 }
 
 }  // namespace emusim::serve

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "common/units.hpp"
-#include "report/json.hpp"
 
 namespace emusim::serve {
 
@@ -77,9 +76,6 @@ class LatencyRecorder {
   /// every uint64 count.  Exposed for the extreme-count regression tests.
   static std::uint64_t nearest_rank(double q, std::uint64_t count);
 
-  /// Sparse JSON: {"count", "max_ps", "sum_ps", "buckets": [[i, n], ...]}.
-  report::Json to_json() const;
-
  private:
   std::array<std::uint64_t, kNumBuckets> buckets_{};
   std::uint64_t count_ = 0;
@@ -106,10 +102,6 @@ class PhasedLatency {
 
   /// Fold another set in; phase lists must be identical.
   void merge(const PhasedLatency& o);
-
-  /// {"overall": {...}, "phases": {"lookup": {...}, ...}} — the per-point
-  /// latency blob embedded in the bench result JSON.
-  report::Json to_json() const;
 
  private:
   LatencyRecorder overall_;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hpp"
+#include "serve/service.hpp"
+#include "xeon/config.hpp"
 
 namespace {
 
@@ -117,8 +120,8 @@ TEST(ParseOptions, HelpFlagSetsHelp) {
 }
 
 TEST(ParseOptions, RejectsBenchmarkFlags) {
-  // The figure benches record simulated points only; google-benchmark
-  // flags belong to micro_simcore and are unknown here.
+  // The figure benches record simulated points only; microbenchmark
+  // timing flags are unknown here.
   Argv a({"--benchmark_filter=BM_Engine"});
   Options opt;
   std::string err;
@@ -191,6 +194,33 @@ TEST(HarnessDeathTest, DuplicateLabelPointExitsNamingIt) {
       },
       testing::ExitedWithCode(1),
       "duplicate point: series 'emu'.*label 'zipf'");
+}
+
+TEST(PhaseP99Extras, ServePointCarriesInsertTailAndSkipsEmptyPhases) {
+  // A small serve_btree-style point with no scans: the insert tail the
+  // Xeon writer-latch gate reads is reported, the empty scan phase is not.
+  emusim::serve::ServeParams p;
+  p.stream.requests = 256;
+  p.stream.key_space = 1024;
+  p.stream.process = emusim::serve::Arrival::zipf;
+  p.stream.lookup_pct = 80;
+  p.stream.insert_pct = 20;
+  p.stream.scan_pct = 0;
+  const auto r = emusim::serve::serve_xeon(
+      emusim::xeon::SystemConfig::sandy_bridge(), p);
+  ASSERT_TRUE(r.verified) << r.error;
+  ASSERT_GT(r.inserts, 0u);
+
+  std::vector<std::pair<std::string, double>> extra = {{"sim_ms", 1.0}};
+  emusim::bench::add_phase_p99s(r.lat, &extra);
+  ASSERT_EQ(extra.size(), 3u);
+  EXPECT_EQ(extra[0].first, "sim_ms");
+  EXPECT_EQ(extra[1].first, "lat_lookup_p99_us");
+  EXPECT_EQ(extra[2].first, "lat_insert_p99_us");
+  const auto insert = static_cast<std::size_t>(emusim::serve::OpKind::insert);
+  EXPECT_DOUBLE_EQ(extra[2].second,
+                   static_cast<double>(r.lat.phase(insert).p99()) * 1e-6);
+  EXPECT_GT(extra[2].second, 0.0);
 }
 
 TEST(Usage, MentionsEveryFlag) {

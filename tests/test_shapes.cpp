@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "report/diff.hpp"
@@ -74,11 +75,19 @@ TEST(Results, JsonRoundTripPreservesEverything) {
 }
 
 TEST(Results, ReaderIgnoresRetiredRepsKey) {
-  // The writer no longer records "reps", but every committed baseline
-  // still carries it: those files must keep loading.
+  // The writer no longer records "reps" or the serving benches' "latency"
+  // histogram blob, but older baselines still carry them: those files must
+  // keep loading, and re-serialize without the retired keys.
   Json j = sample_result().to_json();
   EXPECT_EQ(j.find("reps"), nullptr);
+  EXPECT_EQ(j.find("latency"), nullptr);
   j.set("reps", Json::number(3));
+  Json hist = Json::object();
+  hist.set("count", Json::number(128));
+  hist.set("p99_ps", Json::number(142600000));
+  Json latency = Json::object();
+  latency.set("emu/zipf", std::move(hist));
+  j.set("latency", std::move(latency));
   BenchResult back;
   std::string err;
   ASSERT_TRUE(BenchResult::from_json(j, &back, &err)) << err;
@@ -447,29 +456,6 @@ TEST(Diff, LatencyExtrasReportButNeverGate) {
   const auto rep2 = emusim::report::diff_results(base, cand, opt);
   EXPECT_FALSE(rep2.ok(opt));
   EXPECT_EQ(rep2.regressions, 1);
-}
-
-TEST(Results, LatencyBlobRoundTripsThroughJson) {
-  BenchResult r = serving_result();
-  Json blob = Json::object();
-  Json hist = Json::object();
-  hist.set("count", Json::number(128));
-  hist.set("p99_ps", Json::number(142600000));
-  blob.set("emu/zipf", std::move(hist));
-  r.latency = std::move(blob);
-  BenchResult back;
-  std::string err;
-  ASSERT_TRUE(BenchResult::from_json(r.to_json(), &back, &err)) << err;
-  ASSERT_FALSE(back.latency.is_null());
-  const Json* hist_back = back.latency.find("emu/zipf");
-  ASSERT_NE(hist_back, nullptr);
-  EXPECT_DOUBLE_EQ(hist_back->get_number("count"), 128.0);
-  // Results without the additive key stay null through the round trip.
-  BenchResult plain = sample_result();
-  BenchResult plain_back;
-  ASSERT_TRUE(
-      BenchResult::from_json(plain.to_json(), &plain_back, &err)) << err;
-  EXPECT_TRUE(plain_back.latency.is_null());
 }
 
 }  // namespace
