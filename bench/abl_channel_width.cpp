@@ -46,8 +46,7 @@ double random_read_bandwidth(const mem::DramTiming& timing,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Harness h("abl_channel_width", argc, argv);
+void abl_channel_width(bench::Harness& h, bench::SweepPool& pool) {
   const int count = h.quick() ? 2000 : 20000;
   h.config("reads", static_cast<long long>(count));
   h.config("per_channel_peak_mbps", "1600");
@@ -56,7 +55,6 @@ int main(int argc, char** argv) {
       "Ablation: random reads through one DRAM channel — bus width vs "
       "useful bandwidth (per-channel peak held at 1.6 GB/s)");
 
-  bench::SweepPool pool(h);
   for (int bus_bits : {8, 16, 32, 64}) {
     pool.submit([&h, count, bus_bits](bench::PointSink& sink) {
       mem::DramTiming timing = mem::DramTiming::ncdram_chick();
@@ -74,10 +72,9 @@ int main(int argc, char** argv) {
       if (h.enabled("read64")) sink.add("read64", bus_bits, bw64);
     });
   }
-  pool.wait();
+  pool.wait(h);
   std::printf(
       "\nNote: with the peak held constant, every width moves 64 B bursts "
       "equally well;\nthe narrow bus wins on 8 B requests because its "
       "minimum burst matches the request.\n");
-  return h.done();
 }

@@ -13,8 +13,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("abl_context_size", argc, argv);
+void abl_context_size(bench::Harness& h, bench::SweepPool& pool) {
   bench::record_config(h, emu::SystemConfig::fullspeed_multinode(8));
   h.axes("context_bytes", "rate");
   h.table(
@@ -24,7 +23,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> sizes =
       h.quick() ? std::vector<std::size_t>{200, 3200}
                 : std::vector<std::size_t>{100, 200, 400, 800, 1600, 3200};
-  bench::SweepPool pool(h);
   for (std::size_t bytes : sizes) {
     pool.submit([&h, bytes](bench::PointSink& sink) {
       auto cfg = emu::SystemConfig::fullspeed_multinode(8);
@@ -55,6 +53,5 @@ int main(int argc, char** argv) {
       }
     });
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -11,8 +11,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("abl_grain", argc, argv);
+void abl_grain(bench::Harness& h, bench::SweepPool& pool) {
   const std::size_t n = h.quick() ? 100 : 800;  // 5*n^2 nonzeros
   bench::record_config(h, emu::SystemConfig::chick_hw(), "emu.");
   bench::record_config(h, xeon::SystemConfig::haswell(), "xeon.");
@@ -24,7 +23,6 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> grains =
       h.quick() ? std::vector<std::size_t>{16, 1024}
                 : std::vector<std::size_t>{4, 16, 64, 256, 1024, 4096, 16384};
-  bench::SweepPool pool(h);
   for (std::size_t g : grains) {
     pool.submit([&h, n, g](bench::PointSink& sink) {
       kernels::SpmvEmuParams ep;
@@ -50,6 +48,5 @@ int main(int argc, char** argv) {
       }
     });
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -15,8 +15,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("abl_migration_cost", argc, argv);
+void abl_migration_cost(bench::Harness& h, bench::SweepPool& pool) {
   bench::record_config(h, emu::SystemConfig::chick_hw());
   h.axes("migrations_per_sec", "mb_per_sec");
   h.table(
@@ -30,7 +29,6 @@ int main(int argc, char** argv) {
                                          ? std::vector<double>{1.4}
                                          : std::vector<double>{0.7, 1.4, 2.8};
 
-  bench::SweepPool pool(h);
   for (double rate : rates) {
     for (double lu : lat_us) {
       pool.submit([&h, rate, lu](bench::PointSink& sink) {
@@ -69,6 +67,5 @@ int main(int argc, char** argv) {
       });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -14,8 +14,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("abl_numa", argc, argv);
+void abl_numa(bench::Harness& h, bench::SweepPool& pool) {
   bench::record_config(h, xeon::SystemConfig::sandy_bridge(), "snb.");
   bench::record_config(h, xeon::SystemConfig::haswell(), "hsw.");
   h.axes("hop_ns", "mb_per_sec");
@@ -23,7 +22,6 @@ int main(int argc, char** argv) {
       "Ablation: remote-socket hop latency (interleaved memory) vs "
       "latency-bound benchmarks — MB/s");
 
-  bench::SweepPool pool(h);
   for (double hop_ns : h.quick() ? std::vector<double>{50}
                                  : std::vector<double>{0, 25, 50, 100, 200}) {
     pool.submit([&h, hop_ns](bench::PointSink& sink) {
@@ -53,6 +51,5 @@ int main(int argc, char** argv) {
       }
     });
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

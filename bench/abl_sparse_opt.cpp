@@ -44,8 +44,7 @@ std::vector<std::pair<std::string, double>> point_extras(
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Harness h("abl_sparse_opt", argc, argv);
+void abl_sparse_opt(bench::Harness& h, bench::SweepPool& pool) {
   const auto emu_cfg = emu::SystemConfig::chick_hw();
   const auto emu2_cfg = emu::SystemConfig::fullspeed_multinode(2);
   // Full-mode only: a 256-nodelet slice for the weekly sweep, run on 32
@@ -80,8 +79,6 @@ int main(int argc, char** argv) {
   h.config("emu_block_cols", static_cast<long long>(emu_block));
   h.config("seed", static_cast<long long>(seed));
   h.axes("layout", "mflops");
-
-  bench::SweepPool pool(h);
 
   const SparseLayout layouts[3] = {SparseLayout::csr, SparseLayout::blocked,
                                    SparseLayout::reordered};
@@ -194,6 +191,5 @@ int main(int argc, char** argv) {
     });
   }
 
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <thread>
 
 #include "emu/config.hpp"
 #include "report/observe.hpp"
@@ -34,15 +33,16 @@ std::string format_x(const report::ResultPoint& p) {
 
 }  // namespace
 
-std::string usage(const std::string& bench_name) {
-  return "usage: " + bench_name +
-         " [--json <path>] [--quick] [--filter <substr>] [--jobs <n>]"
+std::string usage(const std::string& program) {
+  return "usage: " + program +
+         " [--json <dir>] [--quick] [--filter <substr>] [--jobs <n>]"
          " [--trace <path>]"
-         " [--trace-cap <records>] [--counters] [--help]\n"
+         " [--trace-cap <records>] [--counters] [--help] [<figure>...]\n"
          "value flags also accept --flag=value\n";
 }
 
-bool parse_options(int argc, char** argv, Options* out, std::string* err) {
+bool parse_options(int argc, char** argv, Options* out, std::string* err,
+                   std::vector<std::string>* positional) {
   Options o;
   // Current flag's inline "--flag=value" payload, when present.
   bool has_inline = false;
@@ -85,7 +85,7 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err) {
     }
     const char* a = arg.c_str();
     if (std::strcmp(a, "--json") == 0) {
-      if (!take_value(i, "--json", &o.json_path)) return false;
+      if (!take_value(i, "--json", &o.json_dir)) return false;
     } else if (std::strcmp(a, "--filter") == 0) {
       if (!take_value(i, "--filter", &o.filter)) return false;
     } else if (std::strcmp(a, "--jobs") == 0) {
@@ -105,6 +105,8 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err) {
     } else if ((std::strcmp(a, "--help") == 0 || std::strcmp(a, "-h") == 0) &&
                !has_inline) {
       o.help = true;
+    } else if (positional != nullptr && arg[0] != '-') {
+      positional->push_back(arg);
     } else {
       *err = std::string("unknown flag '") + argv[i] + "'";
       return false;
@@ -114,36 +116,24 @@ bool parse_options(int argc, char** argv, Options* out, std::string* err) {
   return true;
 }
 
-Harness::Harness(std::string bench_name, int argc, char** argv)
-    : name_(std::move(bench_name)) {
-  std::string err;
-  if (!parse_options(argc, argv, &opt_, &err)) {
-    std::fprintf(stderr, "%s: %s\n%s", name_.c_str(), err.c_str(),
-                 usage(name_).c_str());
-    std::exit(2);
-  }
-  if (opt_.help) {
-    std::fputs(usage(name_).c_str(), stdout);
-    std::exit(0);
-  }
+std::unique_ptr<report::BenchObserver> make_observer(const Options& opt) {
+  if (opt.trace_path.empty() && !opt.counters) return nullptr;
+  report::BenchObserver::Options obs;
+  obs.counters = opt.counters;
+  obs.trace_path = opt.trace_path;
+  obs.trace_capacity = static_cast<std::size_t>(opt.trace_cap);
+  return std::make_unique<report::BenchObserver>(obs);
+}
+
+Harness::Harness(std::string bench_name, Options opt)
+    : name_(std::move(bench_name)),
+      opt_(std::move(opt)),
+      observer_(make_observer(opt_)) {
   result_.bench = name_;
   result_.quick = opt_.quick;
   start_wall_ = wall_now();
   tables_.push_back(TableGroup{name_, 1, {}});
-  if (!opt_.trace_path.empty() || opt_.counters) {
-    report::BenchObserver::Options obs;
-    obs.counters = opt_.counters;
-    obs.trace_path = opt_.trace_path;
-    obs.trace_capacity = static_cast<std::size_t>(opt_.trace_cap);
-    observer_ = std::make_unique<report::BenchObserver>(obs);
-    observe_counters_ = report::Json::array();
-    if (opt_.counters && opt_.json_path.empty()) {
-      std::fprintf(stderr,
-                   "%s: note: --counters deltas are emitted into the --json "
-                   "result; pass --json <path> to keep them\n",
-                   name_.c_str());
-    }
-  }
+  if (observer_ != nullptr) observe_counters_ = report::Json::array();
 }
 
 Harness::~Harness() = default;
@@ -165,12 +155,6 @@ void Harness::config(const std::string& key, std::string value) {
 
 void Harness::config(const std::string& key, long long value) {
   config(key, std::to_string(value));
-}
-
-int Harness::jobs() const {
-  if (opt_.jobs > 0) return opt_.jobs;
-  const unsigned hc = std::thread::hardware_concurrency();
-  return hc == 0 ? 1 : static_cast<int>(hc);
 }
 
 bool Harness::enabled(const std::string& series) const {
@@ -329,7 +313,9 @@ int Harness::done() {
   bool ok = finish_observe();
   result_.fingerprint = report::result_fingerprint(result_);
   print_tables();
-  if (!opt_.json_path.empty()) ok = result_.save(opt_.json_path) && ok;
+  if (!opt_.json_dir.empty()) {
+    ok = result_.save(opt_.json_dir + "/" + name_ + ".json") && ok;
+  }
   return ok ? 0 : 1;
 }
 

@@ -1,9 +1,11 @@
-// Shared harness for the figure-regeneration benches.  Every binary accepts
-// the same flags, registers its series with the harness, and gets table
-// printing and schema-versioned JSON (docs/RESULTS.md) for free:
+// Shared harness for the figure-regeneration benches, which bench/suite
+// runs as registered figure functions.  Every figure takes the same flags,
+// registers its series with the harness, and gets table printing and
+// schema-versioned JSON (docs/RESULTS.md) for free:
 //
-//   --json <path>    machine-readable result (consumed by tools/shapecheck
-//                    and tools/benchdiff)
+//   --json <dir>     write each figure's machine-readable result to
+//                    <dir>/<figure>.json (consumed by tools/shapecheck and
+//                    tools/benchdiff)
 //   --quick          smaller problem sizes / fewer sweep points (CI mode)
 //   --filter <str>   run only series whose name contains <str>
 //   --jobs <n>       run sweep points on n worker threads (default: the
@@ -13,7 +15,7 @@
 //                    completion order (bench/sweep_pool.hpp)
 //   --trace <path>   export the newest simulated run as Chrome/Perfetto
 //                    trace-event JSON (load at https://ui.perfetto.dev or
-//                    summarize with tools/traceview)
+//                    summarize with tools/traceview); one figure only
 //   --trace-cap <n>  trace ring-buffer capacity in records (default 65536;
 //                    long runs keep the newest n events)
 //   --counters       embed per-phase counter deltas (per-nodelet traffic,
@@ -21,9 +23,9 @@
 //   --help           usage
 //
 // Value flags accept both "--flag value" and "--flag=value".  Unknown flags
-// and flags missing their argument are usage errors: the harness prints
-// usage and the binary exits with status 2.  See docs/OBSERVABILITY.md for
-// the --trace/--counters output formats and truncation guarantees.
+// and flags missing their argument are usage errors: the suite prints usage
+// and exits with status 2.  See docs/OBSERVABILITY.md for the
+// --trace/--counters output formats and truncation guarantees.
 //
 // Every point is a deterministic simulated quantity recorded once: a second
 // add at the same (series, x) or (series, label) is a bench bug and fails
@@ -55,7 +57,7 @@ class PhasedLatency;
 namespace emusim::bench {
 
 struct Options {
-  std::string json_path;
+  std::string json_dir;
   bool quick = false;
   std::string filter;
   /// Worker threads for the sweep pool; 0 = auto (hardware_concurrency).
@@ -68,27 +70,27 @@ struct Options {
   bool help = false;
 };
 
-std::string usage(const std::string& bench_name);
+std::string usage(const std::string& program);
 
 /// Parse argv.  Returns false with a diagnostic in `*err` on unknown flags,
 /// missing arguments, or malformed values — callers must treat that as a
-/// usage error, not a best-effort run.
-bool parse_options(int argc, char** argv, Options* out, std::string* err);
+/// usage error, not a best-effort run.  Bare (non-flag) arguments go to
+/// `*positional`; without one they are errors too.
+bool parse_options(int argc, char** argv, Options* out, std::string* err,
+                   std::vector<std::string>* positional = nullptr);
 
-/// One bench run: parses flags (exiting on bad usage), collects series
-/// points, and on done() prints per-table pivots and writes JSON.
+/// An observer configured from --trace/--counters, or nullptr when neither
+/// flag is set.
+std::unique_ptr<report::BenchObserver> make_observer(const Options& opt);
+
+/// One figure's run: collects series points, and on done() prints
+/// per-table pivots and writes JSON.
 class Harness {
  public:
-  /// Prints usage and exits(2) on a flag error; exits(0) after printing
-  /// usage for --help.
-  Harness(std::string bench_name, int argc, char** argv);
+  Harness(std::string bench_name, Options opt);
   ~Harness();
 
-  const Options& opt() const { return opt_; }
   bool quick() const { return opt_.quick; }
-  /// Resolved --jobs value: the flag, or hardware_concurrency (min 1) when
-  /// the flag was not given.
-  int jobs() const;
 
   /// Axis names recorded in the JSON schema (e.g. "threads", "mb_per_sec").
   void axes(std::string x, std::string y);

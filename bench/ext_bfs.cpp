@@ -16,8 +16,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("ext_bfs", argc, argv);
+void ext_bfs(bench::Harness& h, bench::SweepPool& pool) {
   bench::record_config(h, emu::SystemConfig::chick_hw(), "emu.");
   bench::record_config(h, xeon::SystemConfig::sandy_bridge(), "xeon.");
   h.axes("graph", "mteps");
@@ -50,7 +49,6 @@ int main(int argc, char** argv) {
              static_cast<long long>(c.g.num_directed_edges()));
   }
 
-  bench::SweepPool pool(h);
   double x = 0;
   for (const auto& c : cases) {
     pool.submit([&h, &c, x](bench::PointSink& sink) {
@@ -91,6 +89,5 @@ int main(int argc, char** argv) {
     });
     x += 1;
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

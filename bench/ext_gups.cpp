@@ -12,8 +12,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("ext_gups", argc, argv);
+void ext_gups(bench::Harness& h, bench::SweepPool& pool) {
   bench::record_config(h, emu::SystemConfig::chick_hw(), "emu.");
   bench::record_config(h, xeon::SystemConfig::sandy_bridge(), "xeon.");
   h.axes("threads", "giga_updates_per_sec");
@@ -26,7 +25,6 @@ int main(int argc, char** argv) {
   h.config("table_words", static_cast<long long>(p.table_words));
   h.config("updates", static_cast<long long>(p.updates));
 
-  bench::SweepPool pool(h);
   if (h.enabled("emu")) {
     for (int threads : h.quick() ? std::vector<int>{64}
                                  : std::vector<int>{64, 256, 512}) {
@@ -58,6 +56,5 @@ int main(int argc, char** argv) {
       });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

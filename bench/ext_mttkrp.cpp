@@ -12,8 +12,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("ext_mttkrp", argc, argv);
+void ext_mttkrp(bench::Harness& h, bench::SweepPool& pool) {
   bench::record_config(h, emu::SystemConfig::chick_hw(), "emu.");
   bench::record_config(h, xeon::SystemConfig::haswell(), "xeon.");
 
@@ -26,7 +25,6 @@ int main(int argc, char** argv) {
   h.table("Extension: mode-0 MTTKRP, " + std::to_string(x.nnz()) +
           " nonzeros, dims " + std::to_string(dim) + "^3");
 
-  bench::SweepPool pool(h);
   for (int rank : h.quick() ? std::vector<int>{8}
                             : std::vector<int>{4, 8, 16}) {
     // The tensor lives on the main thread for the whole sweep; jobs only
@@ -73,6 +71,5 @@ int main(int argc, char** argv) {
       }
     });
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

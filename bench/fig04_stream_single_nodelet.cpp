@@ -14,8 +14,7 @@ using namespace emusim;
 using kernels::SpawnStrategy;
 using kernels::StreamParams;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig04_stream_single_nodelet", argc, argv);
+void fig04_stream_single_nodelet(bench::Harness& h, bench::SweepPool& pool) {
   const auto cfg = emu::SystemConfig::chick_hw();
   const std::size_t n = h.quick() ? (1u << 16) : (1u << 19);
   bench::record_config(h, cfg);
@@ -25,7 +24,6 @@ int main(int argc, char** argv) {
 
   const SpawnStrategy strategies[2] = {SpawnStrategy::serial_spawn,
                                        SpawnStrategy::recursive_spawn};
-  bench::SweepPool pool(h);
   for (int t : {1, 2, 4, 8, 16, 24, 32, 48, 64}) {
     for (auto s : strategies) {
       if (!h.enabled(kernels::to_string(s))) continue;
@@ -43,6 +41,5 @@ int main(int argc, char** argv) {
       });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

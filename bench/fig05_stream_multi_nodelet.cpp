@@ -15,8 +15,7 @@ using namespace emusim;
 using kernels::SpawnStrategy;
 using kernels::StreamParams;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig05_stream_multi_nodelet", argc, argv);
+void fig05_stream_multi_nodelet(bench::Harness& h, bench::SweepPool& pool) {
   const auto cfg = emu::SystemConfig::chick_hw();
   const std::size_t n = h.quick() ? (1u << 17) : (1u << 20);
   bench::record_config(h, cfg);
@@ -31,7 +30,6 @@ int main(int argc, char** argv) {
   const std::vector<int> thread_counts =
       h.quick() ? std::vector<int>{8, 64, 256}
                 : std::vector<int>{8, 16, 32, 64, 128, 256, 384, 512};
-  bench::SweepPool pool(h);
   for (int t : thread_counts) {
     for (auto s : strategies) {
       if (!h.enabled(kernels::to_string(s))) continue;
@@ -48,6 +46,5 @@ int main(int argc, char** argv) {
       });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -17,8 +17,7 @@ using namespace emusim;
 using kernels::ChaseEmuParams;
 using kernels::ShuffleMode;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig06_chase_emu", argc, argv);
+void fig06_chase_emu(bench::Harness& h, bench::SweepPool& pool) {
   const auto cfg = emu::SystemConfig::chick_hw();
   const std::size_t n = h.quick() ? (1u << 15) : (1u << 18);
   bench::record_config(h, cfg);
@@ -45,7 +44,6 @@ int main(int argc, char** argv) {
     return r;
   };
 
-  bench::SweepPool pool(h);
   const std::string table_a =
       "Fig 6a: Pointer chasing, Emu chick_hw, 8 nodelets, "
       "full_block_shuffle — MB/s vs block size";
@@ -86,6 +84,5 @@ int main(int argc, char** argv) {
           });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

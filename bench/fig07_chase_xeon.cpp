@@ -17,8 +17,7 @@ using namespace emusim;
 using kernels::ChaseXeonParams;
 using kernels::ShuffleMode;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig07_chase_xeon", argc, argv);
+void fig07_chase_xeon(bench::Harness& h, bench::SweepPool& pool) {
   const auto cfg = xeon::SystemConfig::sandy_bridge();
   // The list must be much larger than the LLC or the single-pass reuse of
   // the 4 elements per line is absorbed by the cache (the paper's lists are
@@ -58,7 +57,6 @@ int main(int argc, char** argv) {
          accesses > 0 ? static_cast<double>(r.row_misses) / accesses : 0.0}};
   };
 
-  bench::SweepPool pool(h);
   const std::string table_a =
       "Fig 7a: Pointer chasing, Sandy Bridge Xeon, full_block_shuffle — "
       "MB/s vs block size";
@@ -97,6 +95,5 @@ int main(int argc, char** argv) {
       });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

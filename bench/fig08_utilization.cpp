@@ -18,8 +18,7 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig08_utilization", argc, argv);
+void fig08_utilization(bench::Harness& h, bench::SweepPool& pool) {
   const auto emu_cfg = emu::SystemConfig::chick_hw();
   const auto snb_cfg = xeon::SystemConfig::sandy_bridge();
   bench::record_config(h, emu_cfg, "emu.");
@@ -63,7 +62,6 @@ int main(int argc, char** argv) {
   h.table(
       "Fig 8: Pointer-chase bandwidth (MB/s; utilization of own STREAM peak "
       "in extras), full_block_shuffle, max threads (Emu 512 / Xeon 32)");
-  bench::SweepPool pool(h);
   for (std::size_t b : blocks) {
     // One job per block runs both platforms, like one serial loop body did:
     // counter attribution and failure order stay identical.
@@ -98,6 +96,5 @@ int main(int argc, char** argv) {
       }
     });
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -20,8 +20,7 @@ using kernels::SpmvLayout;
 using kernels::SpmvXeonImpl;
 using kernels::SpmvXeonParams;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig09_spmv", argc, argv);
+void fig09_spmv(bench::Harness& h, bench::SweepPool& pool) {
   const auto emu_cfg = emu::SystemConfig::chick_hw();
   const auto cpu_cfg = xeon::SystemConfig::haswell();
   bench::record_config(h, emu_cfg, "emu.");
@@ -32,7 +31,6 @@ int main(int argc, char** argv) {
       h.quick() ? std::vector<std::size_t>{25, 100}
                 : std::vector<std::size_t>{25, 50, 100, 150, 200, 400, 800};
 
-  bench::SweepPool pool(h);
   const std::string table_a =
       "Fig 9a: SpMV effective bandwidth, Emu chick_hw (grain 16) — MB/s vs "
       "Laplacian n";
@@ -86,6 +84,5 @@ int main(int argc, char** argv) {
       });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

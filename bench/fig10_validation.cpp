@@ -19,15 +19,12 @@
 
 using namespace emusim;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig10_validation", argc, argv);
+void fig10_validation(bench::Harness& h, bench::SweepPool& pool) {
   const auto hw = emu::SystemConfig::chick_hw();
   const auto sim = emu::SystemConfig::chick_as_simulated();
   bench::record_config(h, hw, "hw.");
   bench::record_config(h, sim, "sim.");
   h.axes("x", "mb_per_sec");
-
-  bench::SweepPool pool(h);
 
   // --- STREAM, 1 nodelet and 8 nodelets: x = nodelet count ----------------
   const std::string table_a =
@@ -112,6 +109,5 @@ int main(int argc, char** argv) {
              {{"latency_us", ls.mean_latency_us},
               {"sim_ms", to_seconds(ls.elapsed) * 1e3}});
   });
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -16,8 +16,7 @@
 using namespace emusim;
 using kernels::ChaseEmuParams;
 
-int main(int argc, char** argv) {
-  bench::Harness h("fig11_chase_64nodelet", argc, argv);
+void fig11_chase_64nodelet(bench::Harness& h, bench::SweepPool& pool) {
   const auto cfg = emu::SystemConfig::fullspeed_multinode(8);
   // Quick mode keeps both of the figure's claims checkable: two thread
   // counts for the scaling claim, blocks 16 and 64 for the flatness claim
@@ -37,7 +36,6 @@ int main(int argc, char** argv) {
       h.quick() ? std::vector<std::size_t>{1, 16, 64}
                 : std::vector<std::size_t>{1, 4, 16, 64, 128, 256, 512};
 
-  bench::SweepPool pool(h);
   for (std::size_t b : blocks) {
     for (int t : thread_counts) {
       const std::string series = "t" + std::to_string(t);
@@ -56,6 +54,5 @@ int main(int argc, char** argv) {
       });
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -12,8 +12,6 @@
 // Per-point extras:
 //   engine_events   — Σ DES events processed (deterministic engine-work
 //                     measure; identical across --jobs)
-//   events_per_sec  — engine_events over host wall time (the engine-speed
-//                     headline; wall-derived, so reported but never gated)
 //   mem_peak_bytes  — peak host bytes materialized by the machine's views
 //   sim_ms, migrations_per_element — as the other chase benches
 //
@@ -21,7 +19,6 @@
 // LCG-shuffled block order.  Both change nodelet nearly every block, so the
 // paper's locality-insensitivity claim (7) predicts matching bandwidth; the
 // shape spec checks that ratio at 64 and 256 nodelets.
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -33,19 +30,7 @@
 using namespace emusim;
 using kernels::ChaseScaleParams;
 
-namespace {
-
-double wall_now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  bench::Harness h("scale_chase", argc, argv);
-
+void scale_chase(bench::Harness& h, bench::SweepPool& pool) {
   // Quick keeps every series the shape spec references (64 and 256
   // nodelets, both orders) at small n; full adds 1024 nodelets and the
   // >= 2^30-element points.  x = log2(n); quick xs are a subset of full xs
@@ -67,7 +52,6 @@ int main(int argc, char** argv) {
   h.axes("log2_n", "mb_per_sec");
   h.table("Scaling: procedural pointer chase, chick_fullspeed_Nx — MB/s");
 
-  bench::SweepPool pool(h);
   for (int nlets : nodelet_counts) {
     for (const bool shuffled : {false, true}) {
       const std::string series = "nl" + std::to_string(nlets) +
@@ -84,25 +68,18 @@ int main(int argc, char** argv) {
           p.elems_per_thread = elems_per_thread;
           p.shuffled = shuffled;
           emu::take_run_telemetry();  // drop any prior machines' counts
-          const double w0 = wall_now();
           const auto r = kernels::run_chase_scale(cfg, p);
-          const double wall = wall_now() - w0;
           const emu::RunTelemetry tel = emu::take_run_telemetry();
           if (!r.verified) sink.fail(series + ": checksum mismatch");
           sink.add(series, static_cast<double>(log2n), r.mb_per_sec,
                    {{"sim_ms", to_seconds(r.elapsed) * 1e3},
                     {"migrations_per_element", r.migrations_per_element},
                     {"engine_events", static_cast<double>(tel.engine_events)},
-                    {"events_per_sec",
-                     wall > 0.0
-                         ? static_cast<double>(tel.engine_events) / wall
-                         : 0.0},
                     {"mem_peak_bytes",
                      static_cast<double>(tel.peak_host_bytes)}});
         });
       }
     }
   }
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -54,8 +54,7 @@ std::vector<std::pair<std::string, double>> point_extras(
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Harness h("serve_btree", argc, argv);
+void serve_btree(bench::Harness& h, bench::SweepPool& pool) {
   const auto emu_cfg = emu::SystemConfig::chick_hw();
   const auto emu2_cfg = emu::SystemConfig::fullspeed_multinode(2);
   const auto xeon_cfg = xeon::SystemConfig::sandy_bridge();
@@ -77,8 +76,6 @@ int main(int argc, char** argv) {
   h.config("threads", static_cast<long long>(base.threads));
   h.config("seed", static_cast<long long>(base.stream.seed));
   h.axes("batch", "mops_per_sec");
-
-  bench::SweepPool pool(h);
 
   const std::string table_a =
       "Serving A: arrival processes — throughput and tail latency "
@@ -152,6 +149,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

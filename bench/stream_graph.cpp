@@ -54,8 +54,7 @@ std::vector<std::pair<std::string, double>> point_extras(
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  bench::Harness h("stream_graph", argc, argv);
+void stream_graph(bench::Harness& h, bench::SweepPool& pool) {
   const auto emu_cfg = emu::SystemConfig::chick_hw();
   const auto emu2_cfg = emu::SystemConfig::fullspeed_multinode(2);
   const auto xeon_cfg = xeon::SystemConfig::sandy_bridge();
@@ -78,8 +77,6 @@ int main(int argc, char** argv) {
   h.config("threads", static_cast<long long>(base.threads));
   h.config("seed", static_cast<long long>(base.seed));
   h.axes("batch", "minserts_per_sec");
-
-  bench::SweepPool pool(h);
 
   struct Backend {
     std::string series;
@@ -194,6 +191,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  pool.wait();
-  return h.done();
+  pool.wait(h);
 }

@@ -5,10 +5,9 @@
 #include <exception>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
-#include "bench_util.hpp"
 #include "report/observe.hpp"
-#include "sim/random.hpp"
 
 namespace emusim::bench {
 
@@ -64,7 +63,9 @@ void PointSink::drain_observer() {
   }
 }
 
-SweepPool::SweepPool(Harness& h) : h_(h), jobs_(h.jobs()) {
+SweepPool::SweepPool(const Options& opt) : opt_(opt) {
+  const unsigned hc = std::thread::hardware_concurrency();
+  jobs_ = opt_.jobs > 0 ? opt_.jobs : (hc == 0 ? 1 : static_cast<int>(hc));
   workers_.reserve(static_cast<std::size_t>(jobs_));
   for (int i = 0; i < jobs_; ++i) {
     workers_.emplace_back([this] { worker(); });
@@ -101,15 +102,13 @@ void SweepPool::submit(std::function<void(PointSink&)> job) {
 void SweepPool::worker() {
   for (;;) {
     Slot* slot = nullptr;
-    std::size_t index = 0;
     {
       std::unique_lock<std::mutex> lk(mu_);
       cv_work_.wait(lk, [this] { return stop_ || next_run_ < slots_.size(); });
       if (next_run_ >= slots_.size()) return;  // stop, queue drained
-      index = next_run_++;
-      slot = &slots_[index];  // deque: stable across later push_backs
+      slot = &slots_[next_run_++];  // deque: stable across later push_backs
     }
-    run_one(slot, index);
+    run_one(slot);
     {
       std::lock_guard<std::mutex> lk(mu_);
       ++completed_;
@@ -118,22 +117,13 @@ void SweepPool::worker() {
   }
 }
 
-void SweepPool::run_one(Slot* slot, std::size_t index) {
+void SweepPool::run_one(Slot* slot) {
   // Per-job observation: the observer installs itself thread-locally on
   // this worker, so it sees exactly the machines this job constructs.  It
   // is configured like the harness observer but never writes the trace
   // itself — the retained trace is handed to the merge via a kTrace op.
-  std::unique_ptr<report::BenchObserver> obs;
-  const Options& o = h_.opt();
-  if (!o.trace_path.empty() || o.counters) {
-    report::BenchObserver::Options bo;
-    bo.counters = o.counters;
-    bo.trace_path = o.trace_path;
-    bo.trace_capacity = static_cast<std::size_t>(o.trace_cap);
-    obs = std::make_unique<report::BenchObserver>(bo);
-  }
-  std::uint64_t sm = 0x53EEDF00D0000000ULL + index;
-  PointSink sink(&slot->ops, obs.get(), sim::splitmix64(sm));
+  const std::unique_ptr<report::BenchObserver> obs = make_observer(opt_);
+  PointSink sink(&slot->ops, obs.get());
   try {
     slot->fn(sink);
   } catch (const SweepError& e) {
@@ -157,15 +147,15 @@ void SweepPool::run_one(Slot* slot, std::size_t index) {
   slot->fn = nullptr;  // release captures eagerly
 }
 
-void SweepPool::replay(Slot& slot) {
-  report::BenchObserver* main_obs = h_.observer();
+void SweepPool::replay(Harness& h, Slot& slot) {
+  report::BenchObserver* main_obs = h.observer();
   for (PointSink::Op& op : slot.ops) {
     switch (op.kind) {
       case PointSink::Op::Kind::kTable:
-        h_.table(op.name, op.precision);
+        h.table(op.name, op.precision);
         break;
       case PointSink::Op::Kind::kAdd:
-        h_.add_labeled(op.name, op.label, op.x, op.y, std::move(op.extra));
+        h.add_labeled(op.name, op.label, op.x, op.y, std::move(op.extra));
         break;
       case PointSink::Op::Kind::kPending:
         if (main_obs != nullptr) main_obs->inject_pending(std::move(op.json));
@@ -180,7 +170,7 @@ void SweepPool::replay(Slot& slot) {
   slot.ops.clear();
 }
 
-bool SweepPool::drain(std::string* err) {
+bool SweepPool::drain(Harness& h, std::string* err) {
   {
     std::unique_lock<std::mutex> lk(mu_);
     cv_done_.wait(lk, [this] { return completed_ == slots_.size(); });
@@ -192,7 +182,7 @@ bool SweepPool::drain(std::string* err) {
   bool ok = true;
   for (auto& slot : slots_) {
     if (!ok) break;
-    replay(slot);
+    replay(h, slot);
     if (slot.failed) {
       if (err != nullptr) *err = slot.error;
       ok = false;
@@ -205,9 +195,9 @@ bool SweepPool::drain(std::string* err) {
   return ok;
 }
 
-void SweepPool::wait() {
+void SweepPool::wait(Harness& h) {
   std::string err;
-  if (!drain(&err)) h_.fail(err);
+  if (!drain(h, &err)) h.fail(err);
 }
 
 }  // namespace emusim::bench

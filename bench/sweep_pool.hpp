@@ -24,27 +24,26 @@
 //     would have produced before dying.
 //
 // Jobs must capture their inputs by value (or reference shared *immutable*
-// state such as a pre-built graph); per-point RNG comes from explicit seeds
-// or PointSink::rng_seed(), never from a stream shared across jobs.
+// state such as a pre-built graph); per-point RNG comes from explicit seeds,
+// never from a stream shared across jobs.
 //
-// Usage:
+// One pool serves every figure of a bench/suite run.  A figure submits its
+// points and drains the pool into its own Harness before it returns:
 //
-//   bench::Harness h("fig0x_...", argc, argv);
-//   bench::SweepPool pool(h);                  // h.jobs() workers
-//   for (int t : threads) {
-//     pool.submit([=](bench::PointSink& s) {
-//       s.table("STREAM");                     // table/add mirror Harness
-//       auto r = run_kernel(t);
-//       s.add("emu", t, r.mb_per_sec, {{"sim_ms", r.sim_ms}});
-//     });
+//   void fig0x_...(bench::Harness& h, bench::SweepPool& pool) {
+//     for (int t : threads) {
+//       pool.submit([=](bench::PointSink& s) {
+//         s.table("STREAM");                   // table/add mirror Harness
+//         auto r = run_kernel(t);
+//         s.add("emu", t, r.mb_per_sec, {{"sim_ms", r.sim_ms}});
+//       });
+//     }
+//     pool.wait(h);                            // merge barrier
 //   }
-//   pool.wait();                               // merge barrier
-//   return h.done();
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -53,6 +52,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "report/json.hpp"
 #include "sim/trace.hpp"
 
@@ -61,9 +61,6 @@ class BenchObserver;
 }
 
 namespace emusim::bench {
-
-class Harness;
-class SweepPool;
 
 /// Per-job recorder mirroring the Harness point API.  Only the job that was
 /// handed it may use it, only for the duration of the job.
@@ -83,11 +80,6 @@ class PointSink {
   /// merge barrier, in submission order, exactly where a serial run would
   /// have stopped.
   [[noreturn]] void fail(const std::string& msg);
-
-  /// A seed unique to this job, derived from the submission index with
-  /// splitmix64.  Jobs needing local randomness construct their own
-  /// sim::Rng from this — RNG streams are never shared across jobs.
-  std::uint64_t rng_seed() const { return seed_; }
 
  private:
   friend class SweepPool;
@@ -110,26 +102,24 @@ class PointSink {
     int runs = 0;        ///< kTrace: machine runs under the job observer
   };
 
-  PointSink(std::vector<Op>* ops, report::BenchObserver* obs,
-            std::uint64_t seed)
-      : ops_(ops), obs_(obs), seed_(seed) {}
+  PointSink(std::vector<Op>* ops, report::BenchObserver* obs)
+      : ops_(ops), obs_(obs) {}
   /// Move counter deltas pending on the per-job observer into the op
   /// buffer, preserving their position relative to add() calls.
   void drain_observer();
 
   std::vector<Op>* ops_;
   report::BenchObserver* obs_;
-  std::uint64_t seed_;
 };
 
 /// Fixed-size worker pool executing point jobs with deterministic,
-/// submission-ordered merge into a Harness.  Construct after the harness
-/// has parsed flags; worker count is Harness::jobs() (the --jobs flag,
-/// defaulting to hardware_concurrency).  --jobs 1 still runs jobs on one
-/// worker thread, so serial and parallel runs exercise the same code path.
+/// submission-ordered merge into a Harness.  Worker count is the --jobs
+/// flag, defaulting to hardware_concurrency; --trace/--counters make every
+/// job run under its own observer.  --jobs 1 still runs jobs on one worker
+/// thread, so serial and parallel runs exercise the same code path.
 class SweepPool {
  public:
-  explicit SweepPool(Harness& h);
+  explicit SweepPool(const Options& opt);
   /// Joins workers.  Jobs submitted but never wait()ed are executed and
   /// discarded, not merged — call wait() before done().
   ~SweepPool();
@@ -140,15 +130,15 @@ class SweepPool {
   void submit(std::function<void(PointSink&)> job);
 
   /// Merge barrier: block until every submitted job has run, then replay
-  /// all op buffers through the harness in submission order.  On the first
-  /// failed job (in submission order) reports via Harness::fail after
-  /// merging every earlier job — process exits 1, like a serial failure.
-  /// May be called multiple times; the pool is reusable afterwards.
-  void wait();
+  /// all op buffers through `h` in submission order.  On the first failed
+  /// job (in submission order) reports via Harness::fail after merging
+  /// every earlier job — process exits 1, like a serial failure.  May be
+  /// called multiple times; the pool is reusable afterwards.
+  void wait(Harness& h);
 
   /// As wait(), but on failure returns false with the first failed job's
   /// message in *err instead of exiting — the unit-testable core of wait().
-  bool drain(std::string* err);
+  bool drain(Harness& h, std::string* err);
 
   int jobs() const { return jobs_; }
 
@@ -161,10 +151,10 @@ class SweepPool {
   };
 
   void worker();
-  void run_one(Slot* slot, std::size_t index);
-  void replay(Slot& slot);
+  void run_one(Slot* slot);
+  static void replay(Harness& h, Slot& slot);
 
-  Harness& h_;
+  const Options opt_;
   int jobs_ = 1;
   std::mutex mu_;
   std::condition_variable cv_work_;  ///< workers: a job or stop is available

@@ -177,9 +177,9 @@ MachineObserver* machine_observer();
 int set_engine_threads(int n);
 
 /// Per-thread run telemetry, accumulated as machines are destroyed: the
-/// engine-speed and memory-footprint numbers the bench harness attaches to
-/// sweep points (`engine_events`, `events_per_sec`, `mem_peak_bytes` —
-/// see bench/bench_util.hpp).  Thread-local for the same reason as the
+/// engine-work and memory-footprint numbers the bench harness attaches to
+/// sweep points (`engine_events`, `mem_peak_bytes` — see
+/// bench/scale_chase.cpp).  Thread-local for the same reason as the
 /// observer hook: each sweep worker's points must see only their own
 /// machines.  Both fields are wall-clock-free and therefore deterministic
 /// across --jobs.

@@ -63,14 +63,13 @@ DiffReport diff_results(const std::vector<BenchResult>& baseline,
         e.regression = e.delta_pct < -opt.max_regress_pct;
         if (e.regression) ++rep.regressions;
         if (e.delta_pct > opt.max_regress_pct) ++rep.improvements;
-        // Tail-latency summaries and the engine-speed/footprint metrics
-        // (engine_events, events_per_sec, mem_peak_bytes) ride along as
-        // report-only entries (see DiffEntry::report_only): deltas show in
-        // the diff output, but a shifted percentile or a host-speed change
-        // never fails the gate.
+        // Tail-latency summaries and the engine-work/footprint metrics
+        // (engine_events, mem_peak_bytes) ride along as report-only entries
+        // (see DiffEntry::report_only): deltas show in the diff output, but
+        // a shifted percentile never fails the gate.
         const auto report_only_metric = [](const std::string& name) {
           return name.rfind("lat_", 0) == 0 || name == "engine_events" ||
-                 name == "events_per_sec" || name == "mem_peak_bytes";
+                 name == "mem_peak_bytes";
         };
         std::vector<DiffEntry> lat;
         for (const auto& [name, bv] : bp.extra) {

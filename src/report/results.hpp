@@ -1,5 +1,6 @@
-// Versioned machine-readable bench-result model.  Every bench binary emits
-// one of these as JSON; tools/shapecheck and tools/benchdiff load them back.
+// Versioned machine-readable bench-result model.  Every bench/suite figure
+// emits one of these as JSON; tools/shapecheck and tools/benchdiff load them
+// back.
 // The schema is documented in docs/RESULTS.md; bump kResultsSchemaVersion on
 // incompatible changes.
 #pragma once

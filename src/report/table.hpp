@@ -1,4 +1,4 @@
-// Fixed-width table printing for benchmark harnesses.  Each bench binary
+// Fixed-width table printing for benchmark harnesses.  Each bench/suite figure
 // prints the rows/series of the paper figure it regenerates.
 #pragma once
 

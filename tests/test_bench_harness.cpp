@@ -34,17 +34,17 @@ TEST(ParseOptions, DefaultsWithNoFlags) {
   std::string err;
   ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
   EXPECT_FALSE(opt.quick);
-  EXPECT_TRUE(opt.json_path.empty());
+  EXPECT_TRUE(opt.json_dir.empty());
   EXPECT_FALSE(opt.help);
 }
 
 TEST(ParseOptions, ParsesAllCommonFlags) {
-  Argv a({"--quick", "--json", "out.json", "--filter", "spawn"});
+  Argv a({"--quick", "--json", "out", "--filter", "spawn"});
   Options opt;
   std::string err;
   ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err)) << err;
   EXPECT_TRUE(opt.quick);
-  EXPECT_EQ(opt.json_path, "out.json");
+  EXPECT_EQ(opt.json_dir, "out");
   EXPECT_EQ(opt.filter, "spawn");
 }
 
@@ -111,6 +111,19 @@ TEST(ParseOptions, RejectsBarePositionalArgument) {
   EXPECT_FALSE(parse_options(a.argc(), a.argv(), &opt, &err));
 }
 
+TEST(ParseOptions, CollectsPositionalsApartFromFlagValues) {
+  // Figure names sit among the flags; a value flag's argument is never one.
+  Argv a({"fig04", "--json", "out", "--filter=t4", "fig07", "--quick"});
+  Options opt;
+  std::string err;
+  std::vector<std::string> names;
+  ASSERT_TRUE(parse_options(a.argc(), a.argv(), &opt, &err, &names)) << err;
+  EXPECT_EQ(names, (std::vector<std::string>{"fig04", "fig07"}));
+  EXPECT_EQ(opt.json_dir, "out");
+  EXPECT_EQ(opt.filter, "t4");
+  EXPECT_TRUE(opt.quick);
+}
+
 TEST(ParseOptions, HelpFlagSetsHelp) {
   Argv a({"--help"});
   Options opt;
@@ -174,8 +187,7 @@ TEST(HarnessDeathTest, DuplicateXPointExitsNamingIt) {
   // add at the same (series, x) is a bench bug, not a sample to average.
   EXPECT_EXIT(
       {
-        Argv a({});
-        Harness h("dup_test", a.argc(), a.argv());
+        Harness h("dup_test", Options{});
         h.add("emu", 4, 1.0);
         h.add("xeon", 4, 2.0);  // same x, other series: fine
         h.add("emu", 4, 3.0);
@@ -186,8 +198,7 @@ TEST(HarnessDeathTest, DuplicateXPointExitsNamingIt) {
 TEST(HarnessDeathTest, DuplicateLabelPointExitsNamingIt) {
   EXPECT_EXIT(
       {
-        Argv a({});
-        Harness h("dup_test", a.argc(), a.argv());
+        Harness h("dup_test", Options{});
         h.add_labeled("emu", "zipf", 1, 1.0);
         h.add_labeled("emu", "uniform", 0, 2.0);
         h.add_labeled("emu", "zipf", 1, 3.0);
@@ -225,6 +236,7 @@ TEST(PhaseP99Extras, ServePointCarriesInsertTailAndSkipsEmptyPhases) {
 
 TEST(Usage, MentionsEveryFlag) {
   const std::string u = emusim::bench::usage("some_bench");
+  EXPECT_NE(u.find("[<figure>...]"), std::string::npos);
   EXPECT_NE(u.find("usage:"), std::string::npos);
   EXPECT_NE(u.find("some_bench"), std::string::npos);
   for (const char* flag :

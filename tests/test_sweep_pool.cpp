@@ -15,27 +15,23 @@
 namespace {
 
 using emusim::bench::Harness;
+using emusim::bench::Options;
 using emusim::bench::PointSink;
 using emusim::bench::SweepPool;
 
-struct Argv {
-  explicit Argv(std::vector<std::string> args) : storage(std::move(args)) {
-    ptrs.push_back(const_cast<char*>("bench"));
-    for (auto& s : storage) ptrs.push_back(s.data());
-  }
-  int argc() const { return static_cast<int>(ptrs.size()); }
-  char** argv() { return ptrs.data(); }
-  std::vector<std::string> storage;
-  std::vector<char*> ptrs;
-};
+Options with_jobs(int jobs) {
+  Options o;
+  o.jobs = jobs;
+  return o;
+}
 
 /// Submit `n` jobs that finish in reverse submission order (the first job
 /// sleeps longest) and return the merged result as JSON text.
 std::string scrambled_run(int jobs, int n) {
-  Argv a({"--jobs", std::to_string(jobs)});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
+  const Options opt = with_jobs(jobs);
+  Harness h("sweep_pool_test", opt);
   h.table("scramble");
-  SweepPool pool(h);
+  SweepPool pool(opt);
   for (int i = 0; i < n; ++i) {
     pool.submit([i, n](PointSink& sink) {
       std::this_thread::sleep_for(std::chrono::milliseconds(n - i));
@@ -43,7 +39,7 @@ std::string scrambled_run(int jobs, int n) {
     });
   }
   std::string err;
-  EXPECT_TRUE(pool.drain(&err)) << err;
+  EXPECT_TRUE(pool.drain(h, &err)) << err;
   return h.result().to_json().dump();
 }
 
@@ -56,9 +52,9 @@ TEST(SweepPool, MergesInSubmissionOrderRegardlessOfCompletion) {
 }
 
 TEST(SweepPool, JobsFlagControlsWorkerCount) {
-  Argv a({"--jobs", "3"});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
-  SweepPool pool(h);
+  const Options opt = with_jobs(3);
+  Harness h("sweep_pool_test", opt);
+  SweepPool pool(opt);
   EXPECT_EQ(pool.jobs(), 3);
 }
 
@@ -67,37 +63,37 @@ TEST(SweepPoolDeathTest, DuplicatePointFailsTheRun) {
   // naming the point, not average or keep either value.
   EXPECT_EXIT(
       {
-        Argv a({"--jobs", "2"});
-        Harness h("sweep_pool_test", a.argc(), a.argv());
+        const Options opt = with_jobs(2);
+        Harness h("sweep_pool_test", opt);
         h.table("dups");
-        SweepPool pool(h);
+        SweepPool pool(opt);
         pool.submit([](PointSink& sink) { sink.add("s", 1, 1.0); });
         pool.submit([](PointSink& sink) { sink.add("s", 1, 2.0); });
         std::string err;
-        pool.drain(&err);
+        pool.drain(h, &err);
       },
       testing::ExitedWithCode(1), "duplicate point: series 's'.*x=1");
 }
 
 TEST(SweepPool, FailPropagatesToDrain) {
-  Argv a({"--jobs", "2"});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
+  const Options opt = with_jobs(2);
+  Harness h("sweep_pool_test", opt);
   h.table("fail");
-  SweepPool pool(h);
+  SweepPool pool(opt);
   pool.submit([](PointSink& sink) { sink.add("s", 0, 1.0); });
   pool.submit([](PointSink& sink) { sink.fail("verification failed"); });
   std::string err;
-  EXPECT_FALSE(pool.drain(&err));
+  EXPECT_FALSE(pool.drain(h, &err));
   EXPECT_NE(err.find("verification failed"), std::string::npos) << err;
 }
 
 TEST(SweepPool, FirstFailureInSubmissionOrderWins) {
   // Job 2 fails fast, job 1 fails slow: the reported error must still be
   // job 1's, matching what the serial loop would have hit first.
-  Argv a({"--jobs", "4"});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
+  const Options opt = with_jobs(4);
+  Harness h("sweep_pool_test", opt);
   h.table("fail");
-  SweepPool pool(h);
+  SweepPool pool(opt);
   pool.submit([](PointSink& sink) { sink.add("s", 0, 1.0); });
   pool.submit([](PointSink& sink) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -105,62 +101,57 @@ TEST(SweepPool, FirstFailureInSubmissionOrderWins) {
   });
   pool.submit([](PointSink& sink) { sink.fail("later job"); });
   std::string err;
-  EXPECT_FALSE(pool.drain(&err));
+  EXPECT_FALSE(pool.drain(h, &err));
   EXPECT_NE(err.find("earlier job"), std::string::npos) << err;
   EXPECT_EQ(err.find("later job"), std::string::npos) << err;
 }
 
 TEST(SweepPool, UnhandledExceptionIsCaptured) {
-  Argv a({"--jobs", "2"});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
+  const Options opt = with_jobs(2);
+  Harness h("sweep_pool_test", opt);
   h.table("throw");
-  SweepPool pool(h);
+  SweepPool pool(opt);
   pool.submit(
       [](PointSink&) { throw std::runtime_error("kernel blew up"); });
   std::string err;
-  EXPECT_FALSE(pool.drain(&err));
+  EXPECT_FALSE(pool.drain(h, &err));
   EXPECT_NE(err.find("kernel blew up"), std::string::npos) << err;
 }
 
 TEST(SweepPool, DrainResetsForReuse) {
   // Benches with several tables reuse one pool across loops; drain must
   // leave the pool ready for a fresh batch.
-  Argv a({"--jobs", "2"});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
+  const Options opt = with_jobs(2);
+  Harness h("sweep_pool_test", opt);
   h.table("first");
-  SweepPool pool(h);
+  SweepPool pool(opt);
   pool.submit([](PointSink& sink) { sink.add("a", 0, 1.0); });
   std::string err;
-  ASSERT_TRUE(pool.drain(&err)) << err;
+  ASSERT_TRUE(pool.drain(h, &err)) << err;
   pool.submit([](PointSink& sink) { sink.add("a", 1, 2.0); });
-  ASSERT_TRUE(pool.drain(&err)) << err;
+  ASSERT_TRUE(pool.drain(h, &err)) << err;
   EXPECT_EQ(h.result().series.at(0).points.size(), 2u);
 }
 
-TEST(SweepPool, RngSeedIsPerJobAndStable) {
-  Argv a({"--jobs", "4"});
-  Harness h("sweep_pool_test", a.argc(), a.argv());
-  h.table("seed");
-  SweepPool pool(h);
-  std::vector<std::uint64_t> seeds(3);
-  for (int i = 0; i < 3; ++i) {
-    pool.submit([i, &seeds](PointSink& sink) {
-      seeds[static_cast<std::size_t>(i)] = sink.rng_seed();
-    });
-  }
+TEST(SweepPool, OnePoolServesSuccessiveHarnesses) {
+  // bench/suite drains one pool into a fresh harness per figure: each
+  // figure's result holds its own points only.
+  const Options opt = with_jobs(2);
+  SweepPool pool(opt);
+  Harness first("first_figure", opt);
+  pool.submit([](PointSink& sink) { sink.add("a", 0, 1.0); });
   std::string err;
-  ASSERT_TRUE(pool.drain(&err)) << err;
-  EXPECT_NE(seeds[0], seeds[1]);
-  EXPECT_NE(seeds[1], seeds[2]);
-  // Stable across runs: derived from the submission index only.
-  std::vector<std::uint64_t> again(3);
-  for (int i = 0; i < 3; ++i) {
-    pool.submit([i, &again](PointSink& sink) {
-      again[static_cast<std::size_t>(i)] = sink.rng_seed();
-    });
-  }
-  ASSERT_TRUE(pool.drain(&err)) << err;
-  EXPECT_EQ(seeds, again);
+  ASSERT_TRUE(pool.drain(first, &err)) << err;
+  Harness second("second_figure", opt);
+  pool.submit([](PointSink& sink) { sink.add("b", 0, 2.0); });
+  pool.submit([](PointSink& sink) { sink.add("b", 1, 3.0); });
+  ASSERT_TRUE(pool.drain(second, &err)) << err;
+  ASSERT_EQ(first.result().series.size(), 1u);
+  EXPECT_EQ(first.result().series[0].name, "a");
+  EXPECT_EQ(first.result().series[0].points.size(), 1u);
+  ASSERT_EQ(second.result().series.size(), 1u);
+  EXPECT_EQ(second.result().series[0].name, "b");
+  EXPECT_EQ(second.result().series[0].points.size(), 2u);
 }
 
 }  // namespace

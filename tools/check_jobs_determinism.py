@@ -1,58 +1,45 @@
 #!/usr/bin/env python3
-"""Check that a bench produces identical results serial vs parallel.
+"""Check that the bench suite produces identical results serial vs parallel.
 
-Runs the given bench binary twice — with --jobs 1 and --jobs N — captures
-the JSON result of each, strips the host-wall-clock fields (wall_seconds
-and the events_per_sec point extra), and requires the remainder to be
-byte-identical.  That is the sweep runner's guarantee
+Runs the given suite binary twice — with --jobs 1 and --jobs N — into two
+--json directories, strips the host-wall-clock field (wall_seconds) from
+every result file, and requires the two directories to hold the same files
+with byte-identical remainders.  That is the sweep runner's guarantee
 (bench/sweep_pool.hpp): points merge in submission order regardless of
 completion order.
 
-Extra arguments after the job count are passed verbatim to both runs
-(e.g. `--filter emu2` to check one slice of a bench).
+Extra arguments after the job count are passed verbatim to both runs:
+figure names to check only those figures (default: all of them), or
+e.g. `--filter emu2` to check one slice.
 
-usage: check_jobs_determinism.py <bench-binary> [n] [extra...]
+usage: check_jobs_determinism.py <suite-binary> [n] [figure|flag...]
 """
 import json
+import os
 import subprocess
 import sys
 import tempfile
-import os
-
-
-def strip_wall_fields(result):
-    result.pop("wall_seconds", None)
-    # events_per_sec is engine_events over host wall time: the only
-    # wall-derived point extra.  engine_events and mem_peak_bytes stay —
-    # both are deterministic and must match.
-    for series in result.get("series", []):
-        for point in series.get("points", []):
-            extra = point.get("extra")
-            if isinstance(extra, dict):
-                extra.pop("events_per_sec", None)
-    return result
 
 
 def run(binary, n, extra):
-    # A listed-but-unbuilt bench must fail the gate, not die in a confusing
-    # FileNotFoundError inside subprocess: CI loops over bench names, and a
-    # typo'd or dropped binary silently skipping would hollow out the gate.
+    # A missing binary must fail the gate, not die in a confusing
+    # FileNotFoundError inside subprocess.
     if not (os.path.isfile(binary) and os.access(binary, os.X_OK)):
-        sys.exit(f"check_jobs_determinism: bench binary '{binary}' does not "
-                 f"exist or is not executable — build it (or fix the gate's "
-                 f"bench list)")
-    with tempfile.NamedTemporaryFile(suffix=".json", delete=False) as tmp:
-        path = tmp.name
-    try:
-        cmd = [binary, "--quick", "--jobs", str(n), "--json", path] + extra
+        sys.exit(f"check_jobs_determinism: suite binary '{binary}' does not "
+                 f"exist or is not executable — build it first")
+    with tempfile.TemporaryDirectory() as out:
+        cmd = [binary, "--quick", "--jobs", str(n), "--json", out] + extra
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n"
                      f"{proc.stdout}\n{proc.stderr}")
-        with open(path) as f:
-            return strip_wall_fields(json.load(f))
-    finally:
-        os.unlink(path)
+        results = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name)) as f:
+                result = json.load(f)
+            result.pop("wall_seconds", None)
+            results[name] = result
+        return results
 
 
 def main():
@@ -64,14 +51,25 @@ def main():
     extra = args[2:]
     serial = run(binary, 1, extra)
     parallel = run(binary, n, extra)
-    if serial != parallel:
-        a = json.dumps(serial, indent=1, sort_keys=True).splitlines()
-        b = json.dumps(parallel, indent=1, sort_keys=True).splitlines()
+    if not serial:
+        sys.exit(f"{binary}: wrote no result files")
+    if sorted(serial) != sorted(parallel):
+        sys.exit(f"{binary}: --jobs 1 wrote {sorted(serial)}, --jobs {n} "
+                 f"wrote {sorted(parallel)}")
+    failed = False
+    for name in sorted(serial):
+        if serial[name] == parallel[name]:
+            print(f"{name}: --jobs 1 == --jobs {n} "
+                  f"({len(serial[name].get('series', []))} series) OK")
+            continue
+        failed = True
+        a = json.dumps(serial[name], indent=1, sort_keys=True).splitlines()
+        b = json.dumps(parallel[name], indent=1, sort_keys=True).splitlines()
         diff = [f"-{x}\n+{y}" for x, y in zip(a, b) if x != y]
-        sys.exit(f"{binary}: --jobs 1 vs --jobs {n} results differ "
-                 f"after stripping wall-clock fields:\n" + "\n".join(diff[:40]))
-    print(f"{os.path.basename(binary)}: --jobs 1 == --jobs {n} "
-          f"({len(serial.get('series', []))} series) OK")
+        print(f"{name}: --jobs 1 vs --jobs {n} results differ after "
+              f"stripping wall_seconds:\n" + "\n".join(diff[:40]))
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
