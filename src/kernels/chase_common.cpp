@@ -16,6 +16,7 @@ const char* to_string(ShuffleMode m) {
 
 ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
                            ShuffleMode mode, std::uint64_t seed) {
+  EMUSIM_CHECK_MSG(n < kChaseEnd, "chase list too long for u32 indices");
   EMUSIM_CHECK(block >= 1 && n % block == 0);
   const std::size_t num_blocks = n / block;
   EMUSIM_CHECK(threads >= 1 &&
@@ -32,7 +33,7 @@ ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
 
   sim::Rng rng(seed);
   for (std::size_t i = 0; i < n; ++i) {
-    list.payload[i] = static_cast<std::int64_t>(rng.next() & 0xFFFFFF);
+    list.payload[i] = static_cast<std::uint32_t>(rng.next() & 0xFFFFFF);
   }
 
   const bool shuffle_intra = mode == ShuffleMode::intra_block_shuffle ||
@@ -40,11 +41,8 @@ ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
   const bool shuffle_blocks = mode == ShuffleMode::block_shuffle ||
                               mode == ShuffleMode::full_block_shuffle;
 
-  // u32 halves the largest temporary; the shuffle draws the same numbers
-  // whatever the element type, so every list is unchanged.
-  EMUSIM_CHECK(num_blocks <= UINT32_MAX);
   std::vector<std::uint32_t> block_order;
-  std::vector<std::uint64_t> elem_order(block);
+  std::vector<std::uint32_t> elem_order(block);
 
   for (int t = 0; t < threads; ++t) {
     // Thread t owns the contiguous block range [first, last); ranges differ
@@ -76,15 +74,15 @@ ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
                   block_order.end());
     }
 
-    std::uint64_t prev = kChaseEnd;
+    std::uint32_t prev = kChaseEnd;
     for (std::size_t k = 0; k < blocks_per_thread; ++k) {
-      const std::uint64_t b = block_order[k];
+      const std::size_t b = block_order[k];
       for (std::size_t e = 0; e < block; ++e) {
-        elem_order[e] = b * block + e;
+        elem_order[e] = static_cast<std::uint32_t>(b * block + e);
       }
       if (shuffle_intra) rng.shuffle(elem_order);
       for (std::size_t e = 0; e < block; ++e) {
-        const std::uint64_t idx = elem_order[e];
+        const std::uint32_t idx = elem_order[e];
         if (prev == kChaseEnd) {
           list.head[static_cast<std::size_t>(t)] = idx;
         } else {

@@ -35,24 +35,29 @@ struct ChaseElement {
 };
 static_assert(sizeof(ChaseElement) == 16);
 
-inline constexpr std::uint64_t kChaseEnd = ~std::uint64_t{0};
+/// The successor of a chain's tail.  Element indices are u32, so a list
+/// holds fewer than 2^32 - 1 elements.
+inline constexpr std::uint32_t kChaseEnd = ~std::uint32_t{0};
 
 /// The logical list: per-thread chain heads plus the successor of every
-/// element, and the payload values with per-thread expected sums.
+/// element, and the payload values with per-thread expected sums.  The
+/// host keeps one copy at 8 B per element, read in place by both backends;
+/// the simulated 16 B element layout (ChaseElement) only sets addresses.
 struct ChaseList {
   std::size_t n = 0;
   std::size_t block = 0;
   int threads = 0;
-  std::vector<std::uint64_t> head;           ///< chain head per thread
-  std::vector<std::uint64_t> next;           ///< successor per element
-  std::vector<std::int64_t> payload;         ///< value per element
+  std::vector<std::uint32_t> head;           ///< chain head per thread
+  std::vector<std::uint32_t> next;           ///< successor per element
+  std::vector<std::uint32_t> payload;        ///< 24-bit value per element
   std::vector<std::int64_t> expected_sum;    ///< per-thread traversal sum
 };
 
 /// Build a list of `n` elements in blocks of `block` elements, partitioned
 /// among `threads` chains.  n must be a multiple of block, and the number
 /// of blocks a multiple of threads (keeps every chain the same length, as
-/// in the benchmark).
+/// in the benchmark).  n must be below 2^32 - 1, checked before anything
+/// is allocated.
 ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
                            ShuffleMode mode, std::uint64_t seed = 1);
 

@@ -12,7 +12,7 @@ using sim::Op;
 namespace {
 
 struct ChaseState {
-  Striped1D<ChaseElement> elems;
+  Striped1D<ChaseElement> elems;  ///< address math only; never materialized
   const ChaseList* list;
   std::vector<std::int64_t> sums;
   ChaseState(emu::Machine& m, const ChaseList& l)
@@ -21,17 +21,22 @@ struct ChaseState {
 };
 
 Op<> chase_worker(Context& ctx, ChaseState* st, int t) {
+  const std::uint32_t* next = st->list->next.data();
+  const std::uint32_t* payload = st->list->payload.data();
   std::int64_t sum = 0;
-  std::uint64_t idx = st->list->head[static_cast<std::size_t>(t)];
+  std::uint32_t idx = st->list->head[static_cast<std::size_t>(t)];
   while (idx != kChaseEnd) {
+    // Start the host fetches of this element's fields; the migration, issue
+    // and read events below let other threads run while they land.
+    __builtin_prefetch(next + idx);
+    __builtin_prefetch(payload + idx);
     const int home = st->elems.home(idx);
     if (home != ctx.nodelet()) co_await ctx.migrate_to(home);
     co_await ctx.issue(kChaseCyclesPerElement);
     // One 16 B element: payload + next pointer from the local channel.
     co_await ctx.read_local(st->elems.byte_addr(idx), 16);
-    const ChaseElement& e = st->elems[idx];
-    sum += e.payload;
-    idx = e.next;
+    sum += payload[idx];
+    idx = next[idx];
   }
   st->sums[static_cast<std::size_t>(t)] = sum;
 }
@@ -73,10 +78,6 @@ ChaseEmuResult run_chase_emu(const emu::SystemConfig& cfg,
 
   emu::Machine m(cfg);
   ChaseState st(m, list);
-  for (std::size_t i = 0; i < list.n; ++i) {
-    st.elems[i].payload = list.payload[i];
-    st.elems[i].next = list.next[i];
-  }
 
   const Time elapsed =
       m.run_root([&](Context& ctx) { return chase_root(ctx, &st); });

@@ -129,11 +129,14 @@ Time SetAssocCache::in_flight_ready_at(Hit hit) const {
   return f.line == line ? f.ready_at : clock_;
 }
 
+std::size_t SetAssocCache::flight_home(std::uint64_t line) const {
+  return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ULL) >>
+                                  (64 - std::countr_zero(flights_.size())));
+}
+
 std::size_t SetAssocCache::flight_index(std::uint64_t line) const {
   const std::size_t mask = flights_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(
-      (line * 0x9E3779B97F4A7C15ULL) >>
-      (64 - std::countr_zero(flights_.size())));
+  std::size_t i = flight_home(line);
   while (flights_[i].line != line && flights_[i].line != kNoLine) {
     i = (i + 1) & mask;
   }
@@ -141,15 +144,42 @@ std::size_t SetAssocCache::flight_index(std::uint64_t line) const {
 }
 
 void SetAssocCache::prune_flights() {
-  survivors_.clear();
-  for (const Flight& f : flights_) {
-    if (f.line != kNoLine && f.ready_at > clock_) survivors_.push_back(f);
+  // Scan once around the table from an empty slot (it is at most half
+  // full), so no probe run crosses the scan's start.  Erasing slot i
+  // back-shifts later entries of its run into the hole; they land at or
+  // after i, so re-examining i before moving on visits each entry once.
+  const std::size_t mask = flights_.size() - 1;
+  std::size_t start = 0;
+  while (flights_[start].line != kNoLine) ++start;
+  for (std::size_t k = 1; k < flights_.size();) {
+    const std::size_t i = (start + k) & mask;
+    if (flights_[i].line == kNoLine || flights_[i].ready_at > clock_) {
+      ++k;
+      continue;
+    }
+    std::size_t hole = i;
+    for (std::size_t j = (i + 1) & mask; flights_[j].line != kNoLine;
+         j = (j + 1) & mask) {
+      // The entry at j may fill the hole unless its home slot lies in
+      // (hole, j]: then a probe from home would stop at the hole.
+      const std::size_t home = flight_home(flights_[j].line);
+      if (((j - home) & mask) >= ((j - hole) & mask)) {
+        flights_[hole] = flights_[j];
+        hole = j;
+      }
+    }
+    flights_[hole].line = kNoLine;
+    --flight_count_;
   }
+
   std::size_t slots = flights_.size();
-  while (4 * (survivors_.size() + 1) > slots) slots *= 2;
-  flights_.assign(slots, Flight{kNoLine, 0});
-  for (const Flight& f : survivors_) flights_[flight_index(f.line)] = f;
-  flight_count_ = survivors_.size();
+  while (4 * (flight_count_ + 1) > slots) slots *= 2;
+  if (slots == flights_.size()) return;
+  std::vector<Flight> old(slots, Flight{kNoLine, 0});
+  old.swap(flights_);
+  for (const Flight& f : old) {
+    if (f.line != kNoLine) flights_[flight_index(f.line)] = f;
+  }
 }
 
 }  // namespace emusim::xeon

@@ -137,10 +137,10 @@ class SetAssocCache {
   }
 
   /// Host memory the cache's metadata holds: the set blocks plus the
-  /// in-flight table's slots and prune buffer.
+  /// in-flight table's slots.
   std::size_t host_bytes() const {
     return static_cast<std::size_t>(num_sets_) * block_bytes_ +
-           (flights_.capacity() + survivors_.capacity()) * sizeof(Flight);
+           flights_.capacity() * sizeof(Flight);
   }
 
   /// True if `addr`'s line tag fits the u32 tag store.
@@ -219,11 +219,14 @@ class SetAssocCache {
   /// The hit line's exact ready_at, or clock_ if it has no entry (it is
   /// ready).  Only reached when the set's bound has not passed.
   Time in_flight_ready_at(Hit hit) const;
+  /// The slot where a probe for `line` starts.
+  std::size_t flight_home(std::uint64_t line) const;
   /// Index of the slot holding `line`, or of the empty slot where it would
   /// go.
   std::size_t flight_index(std::uint64_t line) const;
-  /// Drop every entry with ready_at <= clock_, doubling the table if the
-  /// survivors would still fill more than a quarter of it.
+  /// Drop every entry with ready_at <= clock_ in place (backward-shift
+  /// deletion), then double the table if the survivors would still fill
+  /// more than a quarter of it.
   void prune_flights();
 
   int ways_;
@@ -237,7 +240,6 @@ class SetAssocCache {
   Time clock_ = 0;  ///< the largest `earliest` passed to advance()
   std::vector<Flight> flights_;
   std::size_t flight_count_ = 0;
-  std::vector<Flight> survivors_;  ///< prune_flights()'s reused buffer
 };
 
 }  // namespace emusim::xeon

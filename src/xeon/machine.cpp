@@ -11,6 +11,7 @@ const SystemConfig& validated(const SystemConfig& cfg) {
 
 Machine::Machine(const SystemConfig& cfg)
     : cfg_(validated(cfg)),
+      cycle_(cfg_.cycle()),
       llc_(cfg.llc_bytes, cfg.llc_ways, cfg.line_bytes) {
   for (int c = 0; c < cfg.channels; ++c) channels_.emplace_back(eng_, cfg.dram);
   for (int c = 0; c < cfg.cores; ++c) cores_.emplace_back(eng_, cfg_);

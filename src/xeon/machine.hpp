@@ -96,6 +96,8 @@ class Machine {
 
   sim::Engine& engine() { return eng_; }
   const SystemConfig& cfg() const { return cfg_; }
+  /// One core clock period, cached: cfg().cycle() divides on every call.
+  Time cycle() const { return cycle_; }
   SetAssocCache& llc() { return llc_; }
   Core& core(int i) { return cores_[static_cast<std::size_t>(i)]; }
 
@@ -152,6 +154,7 @@ class Machine {
   void install_line(std::uint64_t line, Time ready_at, bool dirty);
 
   SystemConfig cfg_;
+  Time cycle_;
   sim::Engine eng_;
   SetAssocCache llc_;
   std::deque<mem::DramChannel> channels_;
@@ -172,7 +175,7 @@ class CpuContext {
   /// several worker threads map to the same core).
   auto compute(std::uint64_t cycles) {
     return m_->core(core_).compute.access(static_cast<Time>(cycles) *
-                                          m_->cfg().cycle());
+                                          m_->cycle());
   }
 
   /// Awaitable: blocking load of the line containing `addr`.

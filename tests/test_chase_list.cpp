@@ -28,10 +28,9 @@ class ChaseListProps : public ::testing::TestWithParam<ListCase> {};
 TEST_P(ChaseListProps, ChainsPartitionAllElements) {
   const auto c = GetParam();
   const auto l = build_chase_list(c.n, c.block, c.threads, c.mode);
-  std::set<std::uint64_t> seen;
+  std::set<std::uint32_t> seen;
   for (int t = 0; t < c.threads; ++t) {
-    std::vector<std::uint64_t> order;
-    std::uint64_t idx = l.head[static_cast<std::size_t>(t)];
+    std::uint32_t idx = l.head[static_cast<std::size_t>(t)];
     std::size_t steps = 0;
     while (idx != kChaseEnd) {
       ASSERT_LT(steps++, c.n + 1) << "cycle detected in chain " << t;
@@ -47,7 +46,7 @@ TEST_P(ChaseListProps, ExpectedSumsMatchTraversal) {
   const auto l = build_chase_list(c.n, c.block, c.threads, c.mode);
   for (int t = 0; t < c.threads; ++t) {
     std::int64_t sum = 0;
-    std::uint64_t idx = l.head[static_cast<std::size_t>(t)];
+    std::uint32_t idx = l.head[static_cast<std::size_t>(t)];
     while (idx != kChaseEnd) {
       sum += l.payload[idx];
       idx = l.next[idx];
@@ -65,7 +64,7 @@ TEST_P(ChaseListProps, BlocksAreFullyVisitedBeforeLeaving) {
     std::set<std::uint64_t> finished_blocks;
     std::uint64_t cur_block = ~0ULL;
     std::size_t in_block = 0;
-    std::uint64_t idx = l.head[static_cast<std::size_t>(t)];
+    std::uint32_t idx = l.head[static_cast<std::size_t>(t)];
     while (idx != kChaseEnd) {
       const std::uint64_t b = idx / c.block;
       if (b != cur_block) {
@@ -114,8 +113,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ChaseList, NoneModeIsFullySequential) {
   const auto l = build_chase_list(64, 8, 1, ShuffleMode::none);
-  std::uint64_t idx = l.head[0];
-  for (std::uint64_t expect = 0; expect < 64; ++expect) {
+  std::uint32_t idx = l.head[0];
+  for (std::uint32_t expect = 0; expect < 64; ++expect) {
     ASSERT_EQ(idx, expect);
     idx = l.next[idx];
   }
@@ -124,9 +123,9 @@ TEST(ChaseList, NoneModeIsFullySequential) {
 
 TEST(ChaseList, BlockShuffleKeepsIntraOrderSequential) {
   const auto l = build_chase_list(256, 8, 1, ShuffleMode::block_shuffle);
-  std::uint64_t idx = l.head[0];
+  std::uint32_t idx = l.head[0];
   while (idx != kChaseEnd) {
-    const std::uint64_t next = l.next[idx];
+    const std::uint32_t next = l.next[idx];
     if (next != kChaseEnd && next / 8 == idx / 8) {
       EXPECT_EQ(next, idx + 1) << "intra-block order must stay sequential";
     }
@@ -136,10 +135,10 @@ TEST(ChaseList, BlockShuffleKeepsIntraOrderSequential) {
 
 TEST(ChaseList, FullShuffleActuallyShufflesWithinBlocks) {
   const auto l = build_chase_list(512, 64, 1, ShuffleMode::full_block_shuffle);
-  std::uint64_t idx = l.head[0];
+  std::uint32_t idx = l.head[0];
   int sequential_steps = 0, total_steps = 0;
   while (idx != kChaseEnd) {
-    const std::uint64_t next = l.next[idx];
+    const std::uint32_t next = l.next[idx];
     if (next != kChaseEnd) {
       ++total_steps;
       if (next == idx + 1) ++sequential_steps;
@@ -155,13 +154,24 @@ TEST(ChaseList, UnevenThreadSplitStillCoversEverything) {
   const auto l = build_chase_list(800, 8, 7, ShuffleMode::full_block_shuffle);
   std::size_t visited = 0;
   for (int t = 0; t < 7; ++t) {
-    std::uint64_t idx = l.head[static_cast<std::size_t>(t)];
+    std::uint32_t idx = l.head[static_cast<std::size_t>(t)];
     while (idx != kChaseEnd) {
       ++visited;
       idx = l.next[idx];
     }
   }
   EXPECT_EQ(visited, 800u);
+}
+
+TEST(ChaseList, RejectsMoreElementsThanU32IndicesBeforeAllocating) {
+  // 2^32 - 1 is the tail sentinel, so the largest list has 2^32 - 2
+  // elements.  The check runs first: at this size the two arrays alone
+  // would be 32 GiB, so an allocation would fail with bad_alloc instead.
+  const std::size_t too_many = std::size_t{1} << 32;
+  EXPECT_DEATH(build_chase_list(too_many - 1, 1, 1, ShuffleMode::none),
+               "chase list too long for u32 indices");
+  EXPECT_DEATH(build_chase_list(too_many, 1, 1, ShuffleMode::none),
+               "chase list too long for u32 indices");
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // the migration/spawn accounting each workload must exhibit.
 #include <gtest/gtest.h>
 
+#include "emu/machine.hpp"
 #include "kernels/chase_emu.hpp"
 #include "kernels/gups.hpp"
 #include "kernels/pingpong.hpp"
@@ -152,6 +153,22 @@ TEST(ChaseEmu, BlockOneIsMigrationBound) {
   EXPECT_GT(good.mb_per_sec, 3.0 * worst.mb_per_sec);
   // Throughput at block 1 ~ migration engine rate (9 M/s) x 16 B.
   EXPECT_NEAR(worst.mb_per_sec, 9.0 * 16, 40.0);
+}
+
+TEST(ChaseEmu, ReadsTheListInPlaceWithNoHostMirror) {
+  // The worker reads payload and next straight from the shared ChaseList;
+  // the striped element view only supplies homes and simulated addresses,
+  // so a point materializes no element bytes on any nodelet.
+  ChaseEmuParams p;
+  p.n = 1 << 13;
+  p.block = 16;
+  p.threads = 32;
+  emu::take_run_telemetry();  // drop anything earlier tests accumulated
+  const auto r = run_chase_emu(hw(), p);
+  ASSERT_TRUE(r.verified);
+  const emu::RunTelemetry tel = emu::take_run_telemetry();
+  EXPECT_GT(tel.engine_events, 0u);
+  EXPECT_EQ(tel.peak_host_bytes, 0u);
 }
 
 // --- SpMV --------------------------------------------------------------------

@@ -131,7 +131,7 @@ TEST(ChaseXeon, SequentialBeatsRandomViaPrefetch) {
 // element is one load and one compute step.
 sim::Op<> walk_chain(CpuContext& ctx, const kernels::ChaseList* list,
                      std::uint64_t base, int t) {
-  for (std::uint64_t idx = list->head[static_cast<std::size_t>(t)];
+  for (std::uint32_t idx = list->head[static_cast<std::size_t>(t)];
        idx != kernels::kChaseEnd; idx = list->next[idx]) {
     co_await ctx.load(base + idx * sizeof(kernels::ChaseElement));
     co_await ctx.compute(kernels::kChaseXeonCyclesPerElement);

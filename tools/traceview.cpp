@@ -16,6 +16,9 @@
 //   --strict  with --check: additionally fail when the trace is truncated
 //             (the ring overwrote records).  CI uses this to keep golden
 //             fixtures honest.
+//
+// An accounting field of the wrong type (say "dropped": "977") exits 2 in
+// every mode, naming the field.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -45,17 +48,27 @@ struct Accounting {
   bool present = false;
 };
 
-Accounting read_accounting(const Json& root) {
-  Accounting a;
+/// Reads otherData.emusim into `*a`.  Returns "" or, for a field of the
+/// wrong type, an error naming it: a fallback would read "dropped": "977"
+/// as 0 and pass the trace as complete.
+std::string read_accounting(const Json& root, Accounting* a) {
   const Json* other = root.find("otherData");
   const Json* meta = other ? other->find("emusim") : nullptr;
-  if (!meta || !meta->is_object()) return a;
-  a.present = true;
-  a.records = meta->get_number("records");
-  a.dropped = meta->get_number("dropped");
-  a.truncated = meta->get_bool("truncated");
-  a.num_nodelets = meta->get_number("num_nodelets");
-  return a;
+  if (!meta || !meta->is_object()) return "";
+  using T = Json::Type;
+  if (std::string e = meta->type_error({{"records", T::number},
+                                        {"dropped", T::number},
+                                        {"truncated", T::boolean},
+                                        {"num_nodelets", T::number}});
+      !e.empty()) {
+    return e;
+  }
+  a->present = true;
+  a->records = meta->get_number("records");
+  a->dropped = meta->get_number("dropped");
+  a->truncated = meta->get_bool("truncated");
+  a->num_nodelets = meta->get_number("num_nodelets");
+  return "";
 }
 
 void print_accounting(const Accounting& a) {
@@ -305,7 +318,12 @@ int main(int argc, char** argv) {
                  path.c_str());
     return 1;
   }
-  const Accounting acct = read_accounting(root);
+  Accounting acct;
+  if (const std::string e = read_accounting(root, &acct); !e.empty()) {
+    std::fprintf(stderr, "traceview: %s: otherData.emusim: %s\n",
+                 path.c_str(), e.c_str());
+    return 2;
+  }
 
   if (check) {
     std::vector<std::string> errs;
