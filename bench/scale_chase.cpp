@@ -1,6 +1,6 @@
 // Scaling sweep: pointer chasing at 64 / 256 / 1024 nodelets on the
-// chick_fullspeed_Nx family, with data sizes up to 2^30 elements (ROADMAP
-// item 3, extending the paper's Fig 11 projection).
+// chick_fullspeed_Nx family, with data sizes up to 2^30 elements (extending
+// the paper's Fig 11 projection).
 //
 // The chase_scale kernel does fixed per-chain work with a procedurally
 // generated block walk, so a point's simulated event count — and its wall

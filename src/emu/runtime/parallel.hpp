@@ -8,8 +8,10 @@
 //   parallel_apply      — cilk_for over an index range: a local recursive
 //                         spawn tree down to a grain, spawn-left/iterate-
 //                         right so live internal frames stay bounded.
-//   on_each_nodelet     — remote-spawn tree placing one leader per nodelet
-//                         (the "smart spawn" of §IV-A).
+//   remote_spawn_tree   — the "smart spawn" of §IV-A: a recursive tree of
+//                         remote spawns running one leaf per index, each
+//                         born on that index's home nodelet.
+//   on_each_nodelet     — remote_spawn_tree placing one leader per nodelet.
 //   for_each_home       — distributed for-each over a striped view: leaders
 //                         per nodelet, each applying a local spawn tree to
 //                         the elements homed there; bodies never migrate.
@@ -33,6 +35,19 @@ sim::Op<> apply_leaf(Context& ctx, std::size_t lo, std::size_t hi, F body) {
   }
 }
 
+template <class H, class L>
+sim::Op<> remote_subtree(Context& ctx, int lo, int hi, H home_of, L leaf) {
+  while (hi - lo > 1) {
+    const int mid = lo + (hi - lo) / 2;
+    co_await ctx.spawn_at(home_of(mid), [mid, hi, home_of, leaf](Context& c) {
+      return remote_subtree(c, mid, hi, home_of, leaf);
+    });
+    hi = mid;
+  }
+  co_await leaf(ctx, lo);
+  co_await ctx.sync();
+}
+
 }  // namespace detail
 
 /// cilk_for equivalent: apply `body(ctx, i)` for every i in [lo, hi),
@@ -53,29 +68,26 @@ sim::Op<> parallel_apply(Context& ctx, std::size_t lo, std::size_t hi,
   co_await ctx.sync();
 }
 
-/// Remote-spawn tree: run `body(ctx)` once on every nodelet, with the
-/// spawn packets fanning out through the fabric instead of serializing at
-/// the caller.  Completes when every leader (and its children) finish.
-template <class F>
-sim::Op<> on_each_nodelet(Context& ctx, F body) {
-  struct Rec {
-    static sim::Op<> go(Context& c, int dlo, int dhi, F body) {
-      while (dhi - dlo > 1) {
-        const int mid = dlo + (dhi - dlo) / 2;
-        co_await c.spawn_at(mid, [mid, dhi, body](Context& t) {
-          return Rec::go(t, mid, dhi, body);
-        });
-        dhi = mid;
-      }
-      co_await body(c);
-      co_await c.sync();
-    }
-  };
-  const int n = ctx.machine().num_nodelets();
-  co_await ctx.spawn_at(0, [n, body](Context& c) {
-    return Rec::go(c, 0, n, body);
+/// Remote-spawn tree: run `leaf(ctx, i)` once for every i in [lo, hi)
+/// (lo < hi), born on nodelet `home_of(i)`.  The root spawns the whole range
+/// at `home_of(lo)`; each tree node spawns its upper half at `home_of(mid)`
+/// and keeps the lower, so the spawn packets fan out through the fabric
+/// instead of serializing at the caller (one remote spawn per index).
+/// Completes when every leaf (and its children) finish.
+template <class H, class L>
+sim::Op<> remote_spawn_tree(Context& ctx, int lo, int hi, H home_of, L leaf) {
+  co_await ctx.spawn_at(home_of(lo), [lo, hi, home_of, leaf](Context& c) {
+    return detail::remote_subtree(c, lo, hi, home_of, leaf);
   });
   co_await ctx.sync();
+}
+
+/// Run `body(ctx)` once on every nodelet through a remote-spawn tree.
+template <class F>
+sim::Op<> on_each_nodelet(Context& ctx, F body) {
+  return remote_spawn_tree(
+      ctx, 0, ctx.machine().num_nodelets(), [](int d) { return d; },
+      [body](Context& c, int) { return body(c); });
 }
 
 /// Distributed for-each over a striped view: one leader per nodelet applies

@@ -1,29 +1,22 @@
-// At-scale pointer chasing for the 64-1024 nodelet sweeps (ROADMAP item 3).
+// At-scale pointer chasing for the 64-1024 nodelet sweeps (bench
+// scale_chase, extending the paper's Fig 11 projection).
 //
-// The Fig 11 chase (kernels/chase_emu.hpp) builds its linked list in host
-// memory — O(n) vectors for next pointers, payloads, and shuffle maps —
-// which caps it far below the billion-element datasets the scaling study
-// needs.  This kernel keeps the same traversal structure (block-cyclic
-// striped elements, migrate to a block's home, walk the block's elements)
-// but generates the chain *procedurally*: the block visit order is a
-// full-period LCG over the power-of-two block-index space (or sequential,
-// for the locality contrast), so no chain state is ever materialized and
-// the host cost of a 2^30-element region is chunk bookkeeping only (the
-// lazily chunked Striped1D never touches element storage on this path).
-//
-// Each of `threads` chains walks exactly `elems_per_thread` elements —
-// fixed per-thread work, so simulated event count is independent of n and a
-// 2^30-element point costs the same wall time as a 2^20-element one.  Every
-// chain checksums a hash of the global indices it visits; the host replays
-// the (deterministic) walk to verify.  Per-chain checksums land in a small
-// striped results array — the only materialized storage, O(nodelets) bytes
-// — so a run also exercises the chunked views end to end at scale.
+// The Fig 11 chase (kernels/chase_emu.hpp) keeps its list in host memory,
+// O(n) bytes, which caps it far below the billion-element datasets of the
+// scaling study.  This kernel shares that chase's Emu worker and
+// remote-spawn tree but walks a *procedural* chain: blocks in a full-period
+// LCG order over the power-of-two block-index space (or sequentially, for
+// the locality contrast), with hashed-index payloads the host replays to
+// verify.  Each chain walks exactly `elems_per_thread` elements, so a
+// point's event count and wall cost do not depend on n.  The only
+// materialized storage is one striped checksum slot per chain: threads * 8
+// host bytes (the run telemetry's peak_host_bytes), whatever n is.
 #pragma once
 
 #include <cstdint>
 
-#include "common/units.hpp"
 #include "emu/config.hpp"
+#include "kernels/chase_emu.hpp"
 
 namespace emusim::kernels {
 
@@ -42,18 +35,9 @@ struct ChaseScaleParams {
   std::uint64_t seed = 1;
 };
 
-struct ChaseScaleResult {
-  double mb_per_sec = 0.0;  ///< 16 useful bytes per visited element
-  Time elapsed = 0;
-  std::uint64_t migrations = 0;
-  double migrations_per_element = 0.0;
-  /// Peak host bytes materialized by the machine's views during the run:
-  /// the per-chain checksum array only, never the n-element region.
-  std::uint64_t host_peak_bytes = 0;
-  bool verified = false;
-};
-
-ChaseScaleResult run_chase_scale(const emu::SystemConfig& cfg,
-                                 const ChaseScaleParams& p);
+/// Defined in chase_emu.cpp beside run_chase_emu.  `mb_per_sec` counts 16
+/// useful bytes per visited element.
+ChaseEmuResult run_chase_scale(const emu::SystemConfig& cfg,
+                               const ChaseScaleParams& p);
 
 }  // namespace emusim::kernels

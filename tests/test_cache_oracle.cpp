@@ -360,9 +360,10 @@ TEST(CacheOracleInFlight, LineEvictedInFlightIsExactWhenReinserted) {
 
 TEST(CacheOracleInFlight, MissOnlyTraceKeepsTheTableSmall) {
   // Nothing ever hits, so only advance() moves the clock.  Each fill lands
-  // ten probes after it is issued; landed fills are pruned, so the table
-  // keeps its initial 1024 slots (the prune buffer holds at most a quarter
-  // of them).
+  // ten probes after it is issued; landed fills are deleted in place
+  // (backward-shift deletion, no second buffer), so the table keeps its
+  // initial 1024 slots and host_bytes() stays within a quarter of them of
+  // the empty cache.
   SetAssocCache cache(1 << 16, 8, 64);
   const std::size_t empty_bytes = cache.host_bytes();
   Time now = 0;

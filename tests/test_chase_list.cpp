@@ -163,6 +163,26 @@ TEST(ChaseList, UnevenThreadSplitStillCoversEverything) {
   EXPECT_EQ(visited, 800u);
 }
 
+TEST(ChaseList, Block1FullShuffleEqualsBlockShuffle) {
+  // At block 1 the intra-block shuffle permutes one element, and
+  // Rng::shuffle draws nothing for a size-1 range, so the two modes consume
+  // the same random stream and build the same list.
+  for (const std::uint64_t seed : {1u, 7u, 97u}) {
+    for (const int threads : {1, 4, 16}) {
+      const auto full = build_chase_list(512, 1, threads,
+                                         ShuffleMode::full_block_shuffle, seed);
+      const auto blk = build_chase_list(512, 1, threads,
+                                        ShuffleMode::block_shuffle, seed);
+      EXPECT_EQ(full.head, blk.head) << "seed=" << seed << " t=" << threads;
+      EXPECT_EQ(full.next, blk.next) << "seed=" << seed << " t=" << threads;
+      EXPECT_EQ(full.payload, blk.payload)
+          << "seed=" << seed << " t=" << threads;
+      EXPECT_EQ(full.expected_sum, blk.expected_sum)
+          << "seed=" << seed << " t=" << threads;
+    }
+  }
+}
+
 TEST(ChaseList, RejectsMoreElementsThanU32IndicesBeforeAllocating) {
   // 2^32 - 1 is the tail sentinel, so the largest list has 2^32 - 2
   // elements.  The check runs first: at this size the two arrays alone

@@ -1,4 +1,4 @@
-// Unit tests for the at-scale procedural pointer chase (kernels/chase_scale):
+// Unit tests for the at-scale procedural pointer chase (run_chase_scale):
 // checksum verification on the scaling config family, the O(nodelets)
 // host-memory contract (peak bytes never track n), and the run telemetry the
 // scale_chase bench reports (engine events, peak host bytes).
@@ -53,14 +53,13 @@ TEST(ChaseScale, HostPeakIsPerChainSlotsNotDataSize) {
   const std::uint64_t slot_bytes =
       static_cast<std::uint64_t>(p.threads) * sizeof(std::int64_t);
 
-  const auto small = kernels::run_chase_scale(cfg, p);
-  ASSERT_TRUE(small.verified);
-  EXPECT_EQ(small.host_peak_bytes, slot_bytes);
+  emu::take_run_telemetry();  // drop anything earlier tests accumulated
+  ASSERT_TRUE(kernels::run_chase_scale(cfg, p).verified);
+  EXPECT_EQ(emu::take_run_telemetry().peak_host_bytes, slot_bytes);
 
   p.n = std::size_t{1} << 24;  // 256x the data, same footprint
-  const auto big = kernels::run_chase_scale(cfg, p);
-  ASSERT_TRUE(big.verified);
-  EXPECT_EQ(big.host_peak_bytes, slot_bytes);
+  ASSERT_TRUE(kernels::run_chase_scale(cfg, p).verified);
+  EXPECT_EQ(emu::take_run_telemetry().peak_host_bytes, slot_bytes);
 }
 
 TEST(ChaseScale, RunTelemetryReportsEventsAndPeakBytes) {
@@ -71,11 +70,36 @@ TEST(ChaseScale, RunTelemetryReportsEventsAndPeakBytes) {
   ASSERT_TRUE(r.verified);
   const emu::RunTelemetry tel = emu::take_run_telemetry();
   EXPECT_GT(tel.engine_events, 0u);
-  EXPECT_EQ(tel.peak_host_bytes, r.host_peak_bytes);
+  EXPECT_EQ(tel.peak_host_bytes,
+            static_cast<std::uint64_t>(p.threads) * sizeof(std::int64_t));
   // take semantics: a second take reads a reset accumulator.
   const emu::RunTelemetry again = emu::take_run_telemetry();
   EXPECT_EQ(again.engine_events, 0u);
   EXPECT_EQ(again.peak_host_bytes, 0u);
+}
+
+TEST(ChaseScale, MatchesPinnedResults) {
+  // Simulated addresses follow the order in which a run allocates its
+  // views (the region first, then the checksum slots), and spawn order sets
+  // event order; a refactor that moves either shifts elapsed time.  At 8
+  // nodelets both block orders move when the slots are allocated first.
+  // The values were recorded before the two Emu chase kernels shared one
+  // worker and spawn tree.
+  const auto cfg = emu::SystemConfig::chick_fullspeed_nx(8);
+  struct Pin {
+    bool shuffled;
+    Time elapsed;
+    std::uint64_t migrations;
+  };
+  for (const Pin pin : {Pin{false, 132624836, 96},
+                        Pin{true, 129961890, 96}}) {
+    auto p = small_params();
+    p.shuffled = pin.shuffled;
+    const auto r = kernels::run_chase_scale(cfg, p);
+    ASSERT_TRUE(r.verified) << "shuffled=" << pin.shuffled;
+    EXPECT_EQ(r.elapsed, pin.elapsed) << "shuffled=" << pin.shuffled;
+    EXPECT_EQ(r.migrations, pin.migrations) << "shuffled=" << pin.shuffled;
+  }
 }
 
 TEST(ChaseScale, WorkIsFixedPerThreadRegardlessOfDataSize) {

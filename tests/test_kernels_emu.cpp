@@ -171,6 +171,21 @@ TEST(ChaseEmu, ReadsTheListInPlaceWithNoHostMirror) {
   EXPECT_EQ(tel.peak_host_bytes, 0u);
 }
 
+TEST(ChaseEmu, MatchesPinnedResults) {
+  // Simulated addresses follow the order in which a run allocates its
+  // views, and spawn order sets event order; a refactor that moves either
+  // shifts elapsed time.  The values were recorded before the two Emu
+  // chase kernels shared one worker and spawn tree.
+  ChaseEmuParams p;
+  p.n = 1 << 13;
+  p.block = 16;
+  p.threads = 32;
+  const auto r = run_chase_emu(hw(), p);
+  ASSERT_TRUE(r.verified);
+  EXPECT_EQ(r.elapsed, Time{357889309});
+  EXPECT_EQ(r.migrations, 445u);
+}
+
 // --- SpMV --------------------------------------------------------------------
 
 class SpmvLayouts : public ::testing::TestWithParam<SpmvLayout> {};

@@ -1,5 +1,5 @@
 // The higher-level parallel constructs: parallel_apply (cilk_for),
-// on_each_nodelet, for_each_home, and SumReducer.
+// remote_spawn_tree, on_each_nodelet, for_each_home, and SumReducer.
 #include "emu/runtime/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -66,6 +66,58 @@ TEST(ParallelApply, ActuallyRunsConcurrently) {
     });
   };
   EXPECT_LT(run(1), run(256) / 4);
+}
+
+// One remote_spawn_tree over [kTreeLo, kTreeLo + size) with a non-identity
+// home map: per-leaf run counts and birth nodelets, plus the growth of
+// stats.remote_spawns across the call.
+constexpr int kTreeLo = 3;
+int tree_home(int i) { return (i * 5 + 3) % 8; }
+
+struct TreeRun {
+  std::vector<int> hits;
+  std::vector<int> born;
+  std::uint64_t remote_spawns = 0;
+};
+
+TreeRun run_tree(int size) {
+  Machine m(SystemConfig::chick_hw());
+  const int hi = kTreeLo + size;
+  TreeRun r{std::vector<int>(static_cast<std::size_t>(hi), 0),
+            std::vector<int>(static_cast<std::size_t>(hi), -1), 0};
+  m.run_root([&](Context& ctx) -> sim::Op<> {
+    const std::uint64_t before = m.stats.remote_spawns;
+    co_await remote_spawn_tree(
+        ctx, kTreeLo, hi, tree_home, [&](Context& c, int i) -> sim::Op<> {
+          ++r.hits[static_cast<std::size_t>(i)];
+          r.born[static_cast<std::size_t>(i)] = c.nodelet();
+          co_await c.issue(1);
+        });
+    r.remote_spawns = m.stats.remote_spawns - before;
+  });
+  return r;
+}
+
+TEST(RemoteSpawnTree, EveryLeafRunsOnceOnItsHome) {
+  for (const int size : {1, 2, 3, 7, 64}) {
+    const TreeRun r = run_tree(size);
+    for (int i = 0; i < kTreeLo + size; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      EXPECT_EQ(r.hits[k], i < kTreeLo ? 0 : 1)
+          << "size " << size << " leaf " << i;
+      if (i >= kTreeLo) {
+        EXPECT_EQ(r.born[k], tree_home(i)) << "size " << size << " leaf " << i;
+      }
+    }
+  }
+}
+
+TEST(RemoteSpawnTree, OneRemoteSpawnPerLeaf) {
+  // The root's child and every upper-half spawn each cross the fabric once.
+  for (const int size : {1, 2, 3, 7, 64}) {
+    EXPECT_EQ(run_tree(size).remote_spawns, static_cast<std::uint64_t>(size))
+        << "size " << size;
+  }
 }
 
 TEST(OnEachNodelet, RunsExactlyOncePerNodelet) {
