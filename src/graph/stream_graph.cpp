@@ -1,7 +1,6 @@
 #include "graph/stream_graph.hpp"
 
 #include <algorithm>
-#include <coroutine>
 #include <deque>
 #include <memory>
 #include <utility>
@@ -180,12 +179,6 @@ bool check_bfs(const StreamGraph& g, const std::vector<std::uint32_t>& dist,
   return true;
 }
 
-struct DriveOut {
-  Time insert_time = 0;
-  bool ok = true;
-  std::string error;
-};
-
 // ---------------------------------------------------------------------------
 // emu backend
 // ---------------------------------------------------------------------------
@@ -202,14 +195,16 @@ struct EmuStream {
   /// nodelet's local memory as the list grows.  Only threads resident on
   /// the home nodelet touch a vertex's entry.
   std::vector<std::vector<std::uint64_t>> blocks;
-  /// Per-phase latency of every emu threadlet's operations.
-  serve::PhasedLatency lat{stream_phases()};
+  /// Per-phase latency of every threadlet's operations: the result's own.
+  serve::PhasedLatency* lat;
 
-  EmuStream(emu::Machine& machine, StreamGraph& graph)
+  EmuStream(emu::Machine& machine, StreamGraph& graph,
+            serve::PhasedLatency* latency)
       : m(&machine),
         g(&graph),
         deg(machine, graph.num_vertices()),
-        blocks(graph.num_vertices()) {}
+        blocks(graph.num_vertices()),
+        lat(latency) {}
 };
 
 /// Timed duplicate scan + CAS-ordered append of half-edge u -> v.  The
@@ -250,14 +245,14 @@ sim::Op<> insert_one(Context& ctx, EmuStream* st, StreamEdge e, Time b0) {
   const int hv = st->g->home(e.v);
   if (hv != ctx.nodelet()) co_await ctx.migrate_to(hv);
   co_await scan_append(ctx, st, e.v, e.u);
-  st->lat.record(static_cast<std::size_t>(StreamPhase::insert),
+  st->lat->record(static_cast<std::size_t>(StreamPhase::insert),
                  ctx.engine().now() - b0);
 }
 
 sim::Op<> degree_one(Context& ctx, EmuStream* st, std::uint32_t u, Time b0) {
   co_await ctx.issue(kDegreeCycles);
   co_await ctx.read_local(st->deg.byte_addr(u), 8);
-  st->lat.record(static_cast<std::size_t>(StreamPhase::degree),
+  st->lat->record(static_cast<std::size_t>(StreamPhase::degree),
                  ctx.engine().now() - b0);
 }
 
@@ -290,12 +285,12 @@ sim::Op<> bfs_one(Context& ctx, EmuStream* st, std::uint32_t src,
       }
     }
   }
-  st->lat.record(static_cast<std::size_t>(StreamPhase::bfs),
+  st->lat->record(static_cast<std::size_t>(StreamPhase::bfs),
                  ctx.engine().now() - t0);
 }
 
 sim::Op<> drive_emu(Context& ctx, EmuStream* st, const StreamWorkload* w,
-                    std::uint32_t batch, DriveOut* out) {
+                    std::uint32_t batch, StreamResult* r) {
   for (std::size_t e = 0; e < w->epochs; ++e) {
     const Time e0 = ctx.engine().now();
     const std::size_t lo = w->epoch_begin(e), hi = w->epoch_end(e);
@@ -311,11 +306,8 @@ sim::Op<> drive_emu(Context& ctx, EmuStream* st, const StreamWorkload* w,
       }
       co_await ctx.sync();  // the flush barrier bounding each batch
     }
-    out->insert_time += ctx.engine().now() - e0;
-    if (!check_epoch_snapshot(*st->g, *w, e, &out->error)) {
-      out->ok = false;
-      co_return;
-    }
+    r->insert_time += ctx.engine().now() - e0;
+    if (!check_epoch_snapshot(*st->g, *w, e, &r->error)) co_return;
     const Time q0 = ctx.engine().now();
     for (const std::uint32_t u : w->degree_queries[e]) {
       co_await ctx.spawn_at(st->g->home(u), [st, u, q0](Context& c) {
@@ -326,10 +318,7 @@ sim::Op<> drive_emu(Context& ctx, EmuStream* st, const StreamWorkload* w,
     for (const std::uint32_t src : w->bfs_sources[e]) {
       std::vector<std::uint32_t> dist;
       co_await bfs_one(ctx, st, src, &dist);
-      if (!check_bfs(*st->g, dist, src, e, &out->error)) {
-        out->ok = false;
-        co_return;
-      }
+      if (!check_bfs(*st->g, dist, src, e, &r->error)) co_return;
     }
   }
 }
@@ -339,29 +328,6 @@ sim::Op<> drive_emu(Context& ctx, EmuStream* st, const StreamWorkload* w,
 // ---------------------------------------------------------------------------
 
 using xeon::CpuContext;
-
-/// Countdown barrier joining one batch's workers back to the driver (the
-/// serve_xeon scheme).
-struct BatchJoin {
-  sim::Engine* eng = nullptr;
-  int pending = 0;
-  std::coroutine_handle<> waiter;
-
-  void done() {
-    if (--pending == 0 && waiter) {
-      eng->schedule_now(std::exchange(waiter, {}));
-    }
-  }
-  auto wait() {
-    struct Awaiter {
-      BatchJoin& j;
-      bool await_ready() const noexcept { return j.pending == 0; }
-      void await_suspend(std::coroutine_handle<> h) { j.waiter = h; }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-};
 
 /// Writer latches are striped over vertices, not per-vertex: the coarse
 /// latch table a lock-based streaming graph starts from.
@@ -373,7 +339,7 @@ struct XeonStream {
   std::uint64_t deg_base = 0;  ///< n degree words
   std::vector<std::vector<std::uint64_t>> blocks;
   std::vector<std::unique_ptr<sim::Semaphore>> latches;
-  serve::PhasedLatency lat{stream_phases()};
+  serve::PhasedLatency* lat = nullptr;  ///< the result's own
 };
 
 std::uint32_t stripe_of(std::uint32_t v) { return v % kXeonStripes; }
@@ -415,7 +381,7 @@ sim::Op<> x_insert(CpuContext& ctx, XeonStream* st, StreamEdge e, Time b0) {
   co_await x_scan_append(ctx, st, e.v, e.u);
   if (s2 != s1) st->latches[s2]->release();
   st->latches[s1]->release();
-  st->lat.record(static_cast<std::size_t>(StreamPhase::insert),
+  st->lat->record(static_cast<std::size_t>(StreamPhase::insert),
                  st->m->engine().now() - b0);
 }
 
@@ -423,7 +389,7 @@ sim::Op<> x_degree(CpuContext& ctx, XeonStream* st, std::uint32_t u,
                    Time b0) {
   co_await ctx.compute(kDegreeCycles);
   co_await ctx.load(st->deg_base + u * 8);
-  st->lat.record(static_cast<std::size_t>(StreamPhase::degree),
+  st->lat->record(static_cast<std::size_t>(StreamPhase::degree),
                  st->m->engine().now() - b0);
 }
 
@@ -454,70 +420,37 @@ sim::Op<> x_bfs(CpuContext& ctx, XeonStream* st, std::uint32_t src,
       }
     }
   }
-  st->lat.record(static_cast<std::size_t>(StreamPhase::bfs),
+  st->lat->record(static_cast<std::size_t>(StreamPhase::bfs),
                  st->m->engine().now() - t0);
 }
 
-/// One worker's strided share of a batch slice [begin, end).
-template <class OpFn>
-sim::Task x_batch_worker(CpuContext ctx, std::size_t begin, std::size_t end,
-                         std::size_t stride, BatchJoin* join, OpFn op) {
-  for (std::size_t i = begin; i < end; i += stride) {
-    co_await op(ctx, i);
-  }
-  join->done();
-}
-
 sim::Task drive_xeon(XeonStream* st, const StreamWorkload* w,
-                     std::uint32_t batch, int threads, BatchJoin* join,
-                     DriveOut* out) {
+                     std::uint32_t batch, int threads, StreamResult* r) {
   xeon::Machine& m = *st->m;
-  auto run_batch = [&](std::size_t lo, std::size_t hi,
-                       auto op) -> sim::Op<> {
-    const auto nw = std::min<std::size_t>(
-        static_cast<std::size_t>(threads), hi - lo);
-    join->pending = static_cast<int>(nw);
-    join->waiter = {};
-    for (std::size_t wk = 0; wk < nw; ++wk) {
-      auto task = x_batch_worker(
-          CpuContext(m, static_cast<int>(wk) % m.cfg().cores), lo + wk, hi,
-          nw, join, op);
-      task.start();
-    }
-    co_await join->wait();
-  };
-
   for (std::size_t e = 0; e < w->epochs; ++e) {
     const Time e0 = m.engine().now();
     const std::size_t lo = w->epoch_begin(e), hi = w->epoch_end(e);
     for (std::size_t i = lo; i < hi; i += batch) {
       const Time b0 = m.engine().now();
       const std::size_t end = std::min<std::size_t>(i + batch, hi);
-      co_await run_batch(i, end, [st, w, b0](CpuContext& c, std::size_t j) {
-        return x_insert(c, st, w->inserts[j], b0);
-      });
+      co_await xeon::run_batch(m, i, end, threads,
+                               [st, w, b0](CpuContext& c, std::size_t j) {
+                                 return x_insert(c, st, w->inserts[j], b0);
+                               });
     }
-    out->insert_time += m.engine().now() - e0;
-    if (!check_epoch_snapshot(*st->g, *w, e, &out->error)) {
-      out->ok = false;
-      co_return;
-    }
-    if (!w->degree_queries[e].empty()) {
-      const Time q0 = m.engine().now();
-      const auto* qs = &w->degree_queries[e];
-      co_await run_batch(0, qs->size(),
-                         [st, qs, q0](CpuContext& c, std::size_t j) {
-                           return x_degree(c, st, (*qs)[j], q0);
-                         });
-    }
+    r->insert_time += m.engine().now() - e0;
+    if (!check_epoch_snapshot(*st->g, *w, e, &r->error)) co_return;
+    const Time q0 = m.engine().now();
+    const auto* qs = &w->degree_queries[e];
+    co_await xeon::run_batch(m, 0, qs->size(), threads,
+                             [st, qs, q0](CpuContext& c, std::size_t j) {
+                               return x_degree(c, st, (*qs)[j], q0);
+                             });
     CpuContext bctx(m, 0);
     for (const std::uint32_t src : w->bfs_sources[e]) {
       std::vector<std::uint32_t> dist;
       co_await x_bfs(bctx, st, src, &dist);
-      if (!check_bfs(*st->g, dist, src, e, &out->error)) {
-        out->ok = false;
-        co_return;
-      }
+      if (!check_bfs(*st->g, dist, src, e, &r->error)) co_return;
     }
   }
 }
@@ -526,25 +459,24 @@ sim::Task drive_xeon(XeonStream* st, const StreamWorkload* w,
 // result assembly
 // ---------------------------------------------------------------------------
 
-void finish_result(const StreamParams& p, const StreamWorkload& w,
-                   const StreamGraph& g, const DriveOut& out, Time elapsed,
-                   StreamResult* r) {
+/// Fill in the counts and rates around the insert time, latencies and
+/// first oracle failure the driver recorded into `r`, then verify.
+void finish_result(const StreamWorkload& w, const StreamGraph& g,
+                   Time elapsed, StreamResult* r) {
   r->elapsed = elapsed;
-  r->insert_time = out.insert_time;
   r->inserts = w.inserts.size();
   r->new_edges = g.half_edges() / 2;
   for (const auto& qs : w.degree_queries) r->degree_queries += qs.size();
   for (const auto& qs : w.bfs_sources) r->bfs_queries += qs.size();
   r->inserts_per_sec =
-      out.insert_time > 0 ? static_cast<double>(r->inserts) /
-                                to_seconds(out.insert_time)
-                          : 0.0;
+      r->insert_time > 0 ? static_cast<double>(r->inserts) /
+                               to_seconds(r->insert_time)
+                         : 0.0;
   const std::uint64_t ops =
       r->inserts + r->degree_queries + r->bfs_queries;
   r->ops_per_sec =
       elapsed > 0 ? static_cast<double>(ops) / to_seconds(elapsed) : 0.0;
-  r->verified = out.ok;
-  r->error = out.error;
+  r->verified = r->error.empty();
   if (r->verified && r->lat.overall().count() != ops) {
     r->verified = false;
     r->error = "latency samples != ops";
@@ -553,7 +485,6 @@ void finish_result(const StreamParams& p, const StreamWorkload& w,
     r->verified = false;
     r->error = "asymmetric half-edge count";
   }
-  (void)p;
 }
 
 }  // namespace
@@ -562,16 +493,13 @@ StreamResult stream_emu(const emu::SystemConfig& cfg, const StreamParams& p) {
   const StreamWorkload w = make_stream_workload(p);
   emu::Machine m(cfg);
   StreamGraph g(p.num_vertices, m.num_nodelets());
-  EmuStream st(m, g);
-  DriveOut out;
-  const Time elapsed = m.run_root([&](Context& ctx) {
-    return drive_emu(ctx, &st, &w, p.batch, &out);
-  });
-
   StreamResult r;
-  r.lat.merge(st.lat);
+  EmuStream st(m, g, &r.lat);
+  const Time elapsed = m.run_root([&](Context& ctx) {
+    return drive_emu(ctx, &st, &w, p.batch, &r);
+  });
   r.migrations = m.stats.migrations;
-  finish_result(p, w, g, out, elapsed, &r);
+  finish_result(w, g, elapsed, &r);
   return r;
 }
 
@@ -583,6 +511,7 @@ StreamResult stream_xeon(const xeon::SystemConfig& cfg,
   // Stripe the host structure by a nominal 8 "nodelets" so snapshots from
   // both backends describe the same graph (home only affects emu placement).
   StreamGraph g(p.num_vertices, 8);
+  StreamResult r;
   XeonStream st;
   st.m = &m;
   st.g = &g;
@@ -592,19 +521,13 @@ StreamResult stream_xeon(const xeon::SystemConfig& cfg,
   for (std::uint32_t s = 0; s < kXeonStripes; ++s) {
     st.latches.push_back(std::make_unique<sim::Semaphore>(m.engine(), 1));
   }
-  BatchJoin join;
-  join.eng = &m.engine();
-  DriveOut out;
+  st.lat = &r.lat;
 
   const Time t0 = m.engine().now();
-  auto d = drive_xeon(&st, &w, p.batch, p.threads, &join, &out);
+  auto d = drive_xeon(&st, &w, p.batch, p.threads, &r);
   d.start();
   m.engine().run();
-  const Time elapsed = m.engine().now() - t0;
-
-  StreamResult r;
-  r.lat.merge(st.lat);
-  finish_result(p, w, g, out, elapsed, &r);
+  finish_result(w, g, m.engine().now() - t0, &r);
   return r;
 }
 

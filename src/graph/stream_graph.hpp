@@ -15,17 +15,20 @@
 //            mirror half.  All mutation happens on the owning nodelet's
 //            event-queue shard, so insertion needs no host-side lock and its order
 //            is fixed by the event schedule (the serve_emu pattern).
-//   xeon:: — a worker pool drains each batch, taking per-vertex-stripe
-//            writer latches (lowest stripe first, so two-latch inserts
-//            cannot deadlock) around the scan-and-append critical section —
-//            the serialization a lock-based shared-memory STINGER pays.
+//   xeon:: — a worker pool drains each batch (xeon::run_batch, the
+//            serve_xeon batch runner), taking per-vertex-stripe writer
+//            latches (lowest stripe first, so two-latch inserts cannot
+//            deadlock) around the scan-and-append critical section — the
+//            serialization a lock-based shared-memory STINGER pays.
 //
 // Every flush epoch the driver snapshots the streamed structure and checks
 // it against a from-scratch batch-built graph::Graph over the same insert
 // prefix, and every BFS answer against graph::bfs_reference on that
 // snapshot — the oracle contract tests/test_stream_graph.cpp re-asserts
-// independently.  Per-phase latency (insert / degree / bfs) feeds the same
-// serve::PhasedLatency recorder the serving bench uses.
+// independently.  Per-phase latency (insert / degree / bfs) is recorded
+// straight into the result's serve::PhasedLatency, the recorder the serving
+// bench uses.  Batches dispatch back to back, so neither driver waits on an
+// arrival clock: sim::Engine::sleep_until is the serving frontends' wait.
 #pragma once
 
 #include <cstdint>

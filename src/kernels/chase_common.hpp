@@ -54,10 +54,12 @@ struct ChaseList {
 };
 
 /// Build a list of `n` elements in blocks of `block` elements, partitioned
-/// among `threads` chains.  n must be a multiple of block, and the number
-/// of blocks a multiple of threads (keeps every chain the same length, as
-/// in the benchmark).  n must be below 2^32 - 1, checked before anything
-/// is allocated.
+/// among `threads` chains.  n must be a multiple of block, and there must
+/// be at least as many blocks as threads; thread t owns the contiguous
+/// block range [t * blocks / threads, (t + 1) * blocks / threads), so chain
+/// lengths differ by at most one block when threads does not divide the
+/// block count (the benchmark's sizes divide evenly).  n must be below
+/// 2^32 - 1, checked before anything is allocated.
 ChaseList build_chase_list(std::size_t n, std::size_t block, int threads,
                            ShuffleMode mode, std::uint64_t seed = 1);
 

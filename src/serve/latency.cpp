@@ -96,13 +96,6 @@ Time LatencyRecorder::percentile(double q) const {
   return max_;  // unreachable when counts are consistent
 }
 
-void LatencyRecorder::merge(const LatencyRecorder& o) {
-  for (std::size_t i = 0; i < kNumBuckets; ++i) buckets_[i] += o.buckets_[i];
-  count_ += o.count_;
-  sum_ = saturating_add(sum_, o.sum_);
-  if (o.max_ > max_) max_ = o.max_;
-}
-
 PhasedLatency::PhasedLatency(std::vector<std::string> phases) {
   phases_.reserve(phases.size());
   for (auto& name : phases) phases_.emplace_back(std::move(name),
@@ -113,15 +106,6 @@ void PhasedLatency::record(std::size_t phase, Time v) {
   EMUSIM_CHECK(phase < phases_.size());
   overall_.record(v);
   phases_[phase].second.record(v);
-}
-
-void PhasedLatency::merge(const PhasedLatency& o) {
-  EMUSIM_CHECK(phases_.size() == o.phases_.size());
-  overall_.merge(o.overall_);
-  for (std::size_t i = 0; i < phases_.size(); ++i) {
-    EMUSIM_CHECK(phases_[i].first == o.phases_[i].first);
-    phases_[i].second.merge(o.phases_[i].second);
-  }
 }
 
 }  // namespace emusim::serve

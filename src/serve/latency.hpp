@@ -4,8 +4,8 @@
 // (picoseconds): 32 linear sub-buckets per power-of-two octave, so any
 // recorded value lands in a bucket whose upper edge overstates it by at
 // most 1/32 (~3.1%).  Storage is a fixed array (no allocation on the record
-// path), recording is O(1), and merging two recorders is element-wise
-// addition, so the merged histogram does not depend on merge order.
+// path) and recording is O(1).  Drivers record straight into their
+// result's recorder, one histogram per run.
 //
 // percentile() uses the nearest-rank definition and returns the bucket's
 // upper edge — a conservative (never understated) estimate of the true
@@ -59,9 +59,6 @@ class LatencyRecorder {
   Time p95() const { return percentile(0.95); }
   Time p99() const { return percentile(0.99); }
 
-  /// Fold another recorder in (bucket-wise addition; order-independent).
-  void merge(const LatencyRecorder& o);
-
   /// Bucket index of a value — exposed for the edge-value unit tests.
   static std::size_t bucket_of(Time v);
   /// Inclusive upper edge of bucket `i` (the percentile representative).
@@ -82,8 +79,7 @@ class LatencyRecorder {
 };
 
 /// A named family of recorders (one per phase / op type) plus an overall
-/// recorder.  Phase names are fixed at construction so two sets built with
-/// the same phases merge positionally without any name reconciliation.
+/// recorder.  Phase names are fixed at construction.
 class PhasedLatency {
  public:
   explicit PhasedLatency(std::vector<std::string> phases);
@@ -97,9 +93,6 @@ class PhasedLatency {
     return phases_[i].first;
   }
   std::size_t num_phases() const { return phases_.size(); }
-
-  /// Fold another set in; phase lists must be identical.
-  void merge(const PhasedLatency& o);
 
  private:
   LatencyRecorder overall_;

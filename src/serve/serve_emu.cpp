@@ -1,8 +1,5 @@
 #include "serve/service.hpp"
 
-#include <coroutine>
-
-#include "common/check.hpp"
 #include "emu/machine.hpp"
 
 namespace emusim::serve {
@@ -15,15 +12,6 @@ namespace {
 constexpr std::uint64_t kTraverseCycles = 8;  ///< per-node key comparisons
 constexpr std::uint64_t kUpsertCycles = 120;  ///< leaf edit + bookkeeping
 constexpr std::uint64_t kScanCyclesPerElem = 2;
-
-/// Awaitable: park until the absolute simulated instant `t`.
-struct SleepUntil {
-  sim::Engine& eng;
-  Time t;
-  bool await_ready() const noexcept { return eng.now() >= t; }
-  void await_suspend(std::coroutine_handle<> h) { eng.schedule(t, h); }
-  void await_resume() const noexcept {}
-};
 
 /// One request, executed by its own threadlet born on the family's nodelet:
 /// timed tree access, then the op's counters and latency go into `tally`.
@@ -106,7 +94,7 @@ sim::Op<> dispatch(Context& ctx, const std::vector<Request>* stream,
   }
   *t0 = ctx.engine().now();  // the arrival clock starts after warmup
   for (std::size_t i = 0; i < stream->size(); i += batch) {
-    co_await SleepUntil{ctx.engine(), *t0 + (*stream)[i].arrival};
+    co_await ctx.engine().sleep_until(*t0 + (*stream)[i].arrival);
     const std::size_t end =
         i + batch < stream->size() ? i + batch : stream->size();
     for (std::size_t j = i; j < end; ++j) {
@@ -140,24 +128,7 @@ ServeResult serve_emu(const emu::SystemConfig& cfg, const ServeParams& p) {
     return dispatch(ctx, &stream, p.stream.batch, p.warmup, &forest, &r,
                     &t0);
   });
-  const Time elapsed = m.engine().now() - t0;  // excludes warmup
-
-  r.elapsed = elapsed;
-  r.ops = stream.size();
-  r.mops_per_sec = elapsed > 0 ? static_cast<double>(r.ops) /
-                                     to_seconds(elapsed) / 1e6
-                               : 0.0;
-  const std::uint64_t bad = r.lookups - r.hits;
-  r.range_ops = forest.range_ops;
-  r.verified = verify_forest(forest, stream, &r.error);
-  if (r.verified && bad != 0) {
-    r.verified = false;
-    r.error = std::to_string(bad) + " lookups missed or saw stale values";
-  }
-  if (r.verified && r.lat.overall().count() != r.ops) {
-    r.verified = false;
-    r.error = "latency samples != ops";
-  }
+  finish_result(m.engine().now() - t0, forest, stream, &r);  // excl. warmup
   return r;
 }
 

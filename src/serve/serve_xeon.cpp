@@ -1,9 +1,6 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
-#include <coroutine>
 #include <memory>
-#include <utility>
 
 #include "common/check.hpp"
 #include "sim/resource.hpp"
@@ -27,36 +24,6 @@ constexpr std::uint64_t kTraverseCycles = 8;  ///< per-node key comparisons
 constexpr std::uint64_t kUpsertCycles = 400;
 constexpr std::uint64_t kScanCyclesPerElem = 2;
 
-struct SleepUntil {
-  sim::Engine& eng;
-  Time t;
-  bool await_ready() const noexcept { return eng.now() >= t; }
-  void await_suspend(std::coroutine_handle<> h) { eng.schedule(t, h); }
-  void await_resume() const noexcept {}
-};
-
-/// Countdown barrier joining one batch's workers back to the driver.
-struct BatchJoin {
-  sim::Engine* eng = nullptr;
-  int pending = 0;
-  std::coroutine_handle<> waiter;
-
-  void done() {
-    if (--pending == 0 && waiter) {
-      eng->schedule_now(std::exchange(waiter, {}));
-    }
-  }
-  auto wait() {
-    struct Awaiter {
-      BatchJoin& j;
-      bool await_ready() const noexcept { return j.pending == 0; }
-      void await_suspend(std::coroutine_handle<> h) { j.waiter = h; }
-      void await_resume() const noexcept {}
-    };
-    return Awaiter{*this};
-  }
-};
-
 struct XServe {
   Machine* m = nullptr;
   BTreeForest* forest = nullptr;
@@ -66,9 +33,7 @@ struct XServe {
   /// consistent at every suspension point, with the leaf chain standing in
   /// for the B-link edges a real latch-free reader relies on.
   std::vector<std::unique_ptr<sim::Semaphore>> latches;
-  PhasedLatency lat{op_phases()};
-  std::uint64_t lookups = 0, hits = 0, inserts = 0, added = 0;
-  std::uint64_t scans = 0, scanned = 0, bad = 0;
+  ServeResult* tally = nullptr;  ///< counts and latency, recorded in place
 };
 
 sim::Op<> serve_one(CpuContext& ctx, XServe* st, const Request& req) {
@@ -89,12 +54,8 @@ sim::Op<> serve_one(CpuContext& ctx, XServe* st, const Request& req) {
     case OpKind::lookup: {
       std::uint64_t v = 0;
       const bool hit = t.lookup(req.key, &v);
-      ++st->lookups;
-      if (hit && v == value_of_key(req.key)) {
-        ++st->hits;
-      } else {
-        ++st->bad;
-      }
+      ++st->tally->lookups;
+      if (hit && v == value_of_key(req.key)) ++st->tally->hits;
       break;
     }
     case OpKind::insert: {
@@ -112,8 +73,8 @@ sim::Op<> serve_one(CpuContext& ctx, XServe* st, const Request& req) {
         ctx.store(t.node(id).addr);
       }
       latch.release();
-      ++st->inserts;
-      st->added += o.added ? 1 : 0;
+      ++st->tally->inserts;
+      st->tally->added += o.added ? 1 : 0;
       break;
     }
     case OpKind::scan: {
@@ -128,30 +89,19 @@ sim::Op<> serve_one(CpuContext& ctx, XServe* st, const Request& req) {
         }
         visited += step.elems;
       }
-      ++st->scans;
-      st->scanned += visited;
+      ++st->tally->scans;
+      st->tally->scanned += visited;
       break;
     }
   }
-  st->lat.record(static_cast<std::size_t>(req.op),
-                 st->m->engine().now() - st->t0 - req.arrival);
+  st->tally->lat.record(static_cast<std::size_t>(req.op),
+                        st->m->engine().now() - st->t0 - req.arrival);
 }
 
-/// One worker thread's share of a batch: requests begin, begin+stride, ...
-/// processed sequentially — a service thread drains its slice in order, so
-/// later requests in a slice carry queueing delay in their latency.
-sim::Task batch_worker(CpuContext ctx, XServe* st,
-                       const std::vector<Request>* stream, std::size_t begin,
-                       std::size_t end, std::size_t stride, BatchJoin* join) {
-  for (std::size_t i = begin; i < end; i += stride) {
-    co_await serve_one(ctx, st, (*stream)[i]);
-  }
-  join->done();
-}
-
+/// The frontend: waits for each batch's arrival, then drains it on a
+/// worker pool (xeon::run_batch) — the batch join bounds the backlog.
 sim::Task driver(XServe* st, const std::vector<Request>* stream,
-                 std::size_t batch, int threads, bool warmup,
-                 BatchJoin* join) {
+                 std::size_t batch, int threads, bool warmup) {
   Machine& m = *st->m;
   sim::Engine& eng = m.engine();
   if (warmup) {
@@ -168,20 +118,13 @@ sim::Task driver(XServe* st, const std::vector<Request>* stream,
   }
   st->t0 = eng.now();  // the arrival clock starts after warmup
   for (std::size_t i = 0; i < stream->size(); i += batch) {
-    co_await SleepUntil{eng, st->t0 + (*stream)[i].arrival};
+    co_await eng.sleep_until(st->t0 + (*stream)[i].arrival);
     const std::size_t end =
         i + batch < stream->size() ? i + batch : stream->size();
-    const auto nw =
-        std::min<std::size_t>(static_cast<std::size_t>(threads), end - i);
-    join->pending = static_cast<int>(nw);
-    join->waiter = {};
-    for (std::size_t w = 0; w < nw; ++w) {
-      auto task = batch_worker(
-          CpuContext(m, static_cast<int>(w) % m.cfg().cores), st, stream,
-          i + w, end, nw, join);
-      task.start();
-    }
-    co_await join->wait();
+    co_await xeon::run_batch(
+        m, i, end, threads, [st, stream](CpuContext& c, std::size_t j) {
+          return serve_one(c, st, (*stream)[j]);
+        });
   }
 }
 
@@ -205,37 +148,13 @@ ServeResult serve_xeon(const xeon::SystemConfig& cfg, const ServeParams& p) {
   for (int f = 0; f < nf; ++f) {
     st.latches.push_back(std::make_unique<sim::Semaphore>(m.engine(), 1));
   }
-  BatchJoin join;
-  join.eng = &m.engine();
+  ServeResult r;
+  st.tally = &r;
 
-  auto d = driver(&st, &stream, p.stream.batch, p.threads, p.warmup, &join);
+  auto d = driver(&st, &stream, p.stream.batch, p.threads, p.warmup);
   d.start();
   m.engine().run();
-  const Time elapsed = m.engine().now() - st.t0;
-
-  ServeResult r;
-  r.elapsed = elapsed;
-  r.ops = stream.size();
-  r.mops_per_sec = elapsed > 0 ? static_cast<double>(r.ops) /
-                                     to_seconds(elapsed) / 1e6
-                               : 0.0;
-  r.lat.merge(st.lat);
-  r.lookups = st.lookups;
-  r.hits = st.hits;
-  r.inserts = st.inserts;
-  r.added = st.added;
-  r.scans = st.scans;
-  r.scanned = st.scanned;
-  r.range_ops = forest.range_ops;
-  r.verified = verify_forest(forest, stream, &r.error);
-  if (r.verified && st.bad != 0) {
-    r.verified = false;
-    r.error = std::to_string(st.bad) + " lookups missed or saw stale values";
-  }
-  if (r.verified && r.lat.overall().count() != r.ops) {
-    r.verified = false;
-    r.error = "latency samples != ops";
-  }
+  finish_result(m.engine().now() - st.t0, forest, stream, &r);
   return r;
 }
 

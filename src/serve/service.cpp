@@ -34,4 +34,24 @@ bool verify_forest(const BTreeForest& forest,
   return true;
 }
 
+void finish_result(Time elapsed, const BTreeForest& forest,
+                   const std::vector<Request>& stream, ServeResult* r) {
+  r->elapsed = elapsed;
+  r->ops = stream.size();
+  r->mops_per_sec = elapsed > 0 ? static_cast<double>(r->ops) /
+                                      to_seconds(elapsed) / 1e6
+                                : 0.0;
+  r->range_ops = forest.range_ops;
+  r->verified = verify_forest(forest, stream, &r->error);
+  const std::uint64_t bad = r->lookups - r->hits;
+  if (r->verified && bad != 0) {
+    r->verified = false;
+    r->error = std::to_string(bad) + " lookups missed or saw stale values";
+  }
+  if (r->verified && r->lat.overall().count() != r->ops) {
+    r->verified = false;
+    r->error = "latency samples != ops";
+  }
+}
+
 }  // namespace emusim::serve

@@ -8,7 +8,10 @@
 // is closed-loop per batch (bounded backlog) but open-loop across batches,
 // so a slow batch inflates the latency of the queued one behind it and tail
 // behaviour under overload is preserved.  Request latency = completion time
-// - batch arrival time.
+// - batch arrival time.  Both frontends wait for an arrival with
+// sim::Engine::sleep_until (no event when the batch is already due), record
+// counts and latencies straight into their ServeResult, and end in
+// finish_result.
 //
 // Backend contrast (the point of the experiment):
 //
@@ -19,11 +22,13 @@
 //                threads onto one nodelet, so its cores/channel queue —
 //                p50 and p99 rise together (the paper's locality-
 //                insensitivity claim, stated over latency).
-//   serve_xeon — a worker pool per batch; lookups/scans traverse latch-free
-//                (the leaf chain plays the B-link role), inserts take the
-//                family's writer latch for the leaf edit.  Skew funnels
-//                inserts through one latch, so the tail blows up while the
-//                (cache-warmed) median improves — p99 diverges from p50.
+//   serve_xeon — a worker pool per batch (xeon::run_batch: worker w on core
+//                w % cores drains requests w, w + nw, ... in order).
+//                Lookups/scans traverse latch-free (the leaf chain plays
+//                the B-link role), inserts take the family's writer latch
+//                for the leaf edit.  Skew funnels inserts through one latch,
+//                so the tail blows up while the (cache-warmed) median
+//                improves — p99 diverges from p50.
 #pragma once
 
 #include <cstdint>
@@ -86,5 +91,11 @@ ServeResult serve_xeon(const xeon::SystemConfig& cfg, const ServeParams& p);
 /// the stream must converge to this state.
 bool verify_forest(const BTreeForest& forest,
                    const std::vector<Request>& stream, std::string* err);
+
+/// The end of both drivers: fill in `r`'s clock, throughput and range_ops
+/// around the counts and latencies the driver recorded into it, then verify
+/// the forest, every lookup's hit and one latency sample per request.
+void finish_result(Time elapsed, const BTreeForest& forest,
+                   const std::vector<Request>& stream, ServeResult* r);
 
 }  // namespace emusim::serve

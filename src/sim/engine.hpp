@@ -148,8 +148,21 @@ class Engine {
     return Awaiter{*this, delay};
   }
 
-  /// Awaitable: suspend until absolute time `when`.
-  auto sleep_until(Time when) { return sleep(when > now_ ? when - now_ : 0); }
+  /// Awaitable: suspend until absolute time `when`.  A time already due
+  /// continues at once without queueing an event (unlike sleep(0), it does
+  /// not yield); a future one resumes at exactly `when`.
+  auto sleep_until(Time when) {
+    struct Awaiter {
+      Engine& eng;
+      Time when;
+      bool await_ready() const noexcept { return eng.now_ >= when; }
+      void await_suspend(std::coroutine_handle<> h) const {
+        eng.schedule(when, h);
+      }
+      void await_resume() const noexcept {}
+    };
+    return Awaiter{*this, when};
+  }
 
  private:
   /// The windowed shard schedule steers shards by their next pending

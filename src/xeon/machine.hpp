@@ -16,10 +16,12 @@
 // pre-sized chunk per worker at zero pull overhead.
 #pragma once
 
+#include <algorithm>
 #include <coroutine>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "mem/dram.hpp"
@@ -224,5 +226,51 @@ using TaskFn = std::function<sim::Op<>(CpuContext&)>;
 /// `per_task_overhead_cycles` on the worker.  Returns elapsed time.
 Time run_task_pool(Machine& m, int threads, std::vector<TaskFn> tasks,
                    int per_task_overhead_cycles);
+
+namespace detail {
+
+/// One batch worker: items begin, begin + stride, ... below end, in order
+/// (a service thread drains its slice sequentially, so later items carry
+/// queueing delay), then a countdown of the batch's live workers.
+template <class OpFn>
+sim::Task batch_worker(CpuContext ctx, std::size_t begin, std::size_t end,
+                       std::size_t stride, const OpFn* op, int* pending,
+                       std::coroutine_handle<>* waiter) {
+  for (std::size_t i = begin; i < end; i += stride) {
+    co_await (*op)(ctx, i);
+  }
+  if (--*pending == 0 && *waiter) {
+    ctx.machine().engine().schedule_now(std::exchange(*waiter, {}));
+  }
+}
+
+}  // namespace detail
+
+/// Awaitable batch of the items [lo, hi) for an online driver:
+/// nw = min(threads, hi - lo) workers, worker w on core w % cores taking
+/// items lo + w, lo + w + nw, ...; `op(ctx, i)` returns the sim::Op<> for
+/// item i.  Completes when the last worker ends.  Unlike run_task_pool it
+/// does not run the engine, so the awaiting driver keeps its own clock.
+template <class OpFn>
+sim::Op<> run_batch(Machine& m, std::size_t lo, std::size_t hi, int threads,
+                    OpFn op) {
+  const auto nw =
+      std::min<std::size_t>(static_cast<std::size_t>(threads), hi - lo);
+  int pending = static_cast<int>(nw);
+  std::coroutine_handle<> waiter;
+  for (std::size_t w = 0; w < nw; ++w) {
+    detail::batch_worker(CpuContext(m, static_cast<int>(w) % m.cfg().cores),
+                         lo + w, hi, nw, &op, &pending, &waiter)
+        .start();
+  }
+  struct Join {
+    int& pending;
+    std::coroutine_handle<>& waiter;
+    bool await_ready() const noexcept { return pending == 0; }
+    void await_suspend(std::coroutine_handle<> h) { waiter = h; }
+    void await_resume() const noexcept {}
+  };
+  co_await Join{pending, waiter};
+}
 
 }  // namespace emusim::xeon

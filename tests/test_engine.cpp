@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "sim/task.hpp"
@@ -249,6 +250,31 @@ TEST(Task, SleepAdvancesTime) {
   t.start();
   eng.run();
   EXPECT_EQ(wakeups, (std::vector<Time>{ns(10), ns(35), ns(35)}));
+}
+
+Task sleep_until_steps(Engine& eng, std::vector<Time>& wakeups,
+                       std::vector<std::uint64_t>& events) {
+  co_await eng.sleep(ns(10));
+  events.push_back(eng.events_processed());
+  co_await eng.sleep_until(ns(4));  // already due: no event, no yield
+  wakeups.push_back(eng.now());
+  events.push_back(eng.events_processed());
+  co_await eng.sleep_until(ns(10));  // due exactly now: same
+  events.push_back(eng.events_processed());
+  co_await eng.sleep_until(ns(37));
+  wakeups.push_back(eng.now());
+  events.push_back(eng.events_processed());
+}
+
+TEST(Task, SleepUntilSkipsTheQueueWhenDueAndWakesExactlyOtherwise) {
+  Engine eng;
+  std::vector<Time> wakeups;
+  std::vector<std::uint64_t> events;
+  auto t = sleep_until_steps(eng, wakeups, events);
+  t.start();
+  eng.run();
+  EXPECT_EQ(wakeups, (std::vector<Time>{ns(10), ns(37)}));
+  EXPECT_EQ(events, (std::vector<std::uint64_t>{1, 1, 1, 2}));
 }
 
 Task trivial(Engine& eng) { co_await eng.sleep(ns(1)); }

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "emu/config.hpp"
+#include "emu/machine.hpp"
 #include "serve/service.hpp"
 #include "sim/random.hpp"
 #include "xeon/config.hpp"
@@ -276,23 +277,6 @@ TEST(Latency, BucketUpperSaturatesAtTheTimeRangeInsteadOfWrapping) {
   EXPECT_EQ(rec.sum(), kMax);
 }
 
-TEST(Latency, MergeEqualsRecordingEverythingInOneRecorder) {
-  LatencyRecorder a, b, all;
-  sim::Rng rng(11);
-  for (int i = 0; i < 5000; ++i) {
-    const Time v = static_cast<Time>(rng.below(1u << 30));
-    ((i % 3 == 0) ? a : b).record(v);
-    all.record(v);
-  }
-  a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_EQ(a.sum(), all.sum());
-  EXPECT_EQ(a.max(), all.max());
-  for (double q : {0.5, 0.95, 0.99}) {
-    EXPECT_EQ(a.percentile(q), all.percentile(q)) << q;
-  }
-}
-
 TEST(Latency, PhasedRecorderTracksPhasesAndSerializes) {
   PhasedLatency lat(serve::op_phases());
   lat.record(static_cast<std::size_t>(OpKind::lookup), us(1));
@@ -304,9 +288,7 @@ TEST(Latency, PhasedRecorderTracksPhasesAndSerializes) {
   EXPECT_EQ(lat.phase(2).count(), 0u);
   EXPECT_EQ(lat.phase_name(1), "insert");
 
-  PhasedLatency other(serve::op_phases());
-  other.record(static_cast<std::size_t>(OpKind::scan), us(5));
-  lat.merge(other);
+  lat.record(static_cast<std::size_t>(OpKind::scan), us(5));
   EXPECT_EQ(lat.overall().count(), 4u);
   EXPECT_EQ(lat.phase(2).count(), 1u);
 
@@ -448,6 +430,58 @@ TEST(ServeDrivers, BackendsAgreeOnTheStreamSkewCounter) {
   EXPECT_EQ(re.lookups, rx.lookups);
   EXPECT_EQ(re.inserts, rx.inserts);
   EXPECT_EQ(re.scans, rx.scans);
+}
+
+/// Exact results of one serving run: the clock, the tails and the counts.
+struct ServePin {
+  Time elapsed;
+  Time p99, lookup_p99, insert_p99, scan_p99;
+  std::uint64_t lookups, inserts, scans, added;
+};
+
+void expect_pinned(const serve::ServeResult& r, const ServePin& pin) {
+  ASSERT_TRUE(r.verified) << r.error;
+  EXPECT_EQ(r.elapsed, pin.elapsed);
+  EXPECT_EQ(r.lat.overall().p99(), pin.p99);
+  EXPECT_EQ(r.lat.phase(0).p99(), pin.lookup_p99);
+  EXPECT_EQ(r.lat.phase(1).p99(), pin.insert_p99);
+  EXPECT_EQ(r.lat.phase(2).p99(), pin.scan_p99);
+  EXPECT_EQ(r.lookups, pin.lookups);
+  EXPECT_EQ(r.inserts, pin.inserts);
+  EXPECT_EQ(r.scans, pin.scans);
+  EXPECT_EQ(r.added, pin.added);
+  EXPECT_EQ(r.hits, r.lookups);
+}
+
+// Both drivers on the machines perfbench's serve_mix runs, the two-node
+// Emu (two engine shards under time windows) included.  The values are
+// exact: a change to dispatch order or the arrival wait moves them, and one
+// extra engine event per batch moves the Emu event counts.
+TEST(ServeDrivers, MatchesPinnedResults) {
+  const auto zipf = small_params(Arrival::zipf);
+  const auto uniform = small_params(Arrival::uniform);
+  {
+    SCOPED_TRACE("serve_emu chick_hw zipf");
+    emu::take_run_telemetry();
+    expect_pinned(serve::serve_emu(emu::SystemConfig::chick_hw(), zipf),
+                  {430046941, 55574527, 54525951, 59558017, 60186625, 181, 47,
+                   28, 28});
+    EXPECT_EQ(emu::take_run_telemetry().engine_events, 2154u);
+  }
+  {
+    SCOPED_TRACE("serve_emu fullspeed_multinode(2) uniform");
+    emu::take_run_telemetry();
+    expect_pinned(
+        serve::serve_emu(emu::SystemConfig::fullspeed_multinode(2), uniform),
+        {392253689, 5767167, 5636095, 5324589, 5790783, 181, 47, 28, 41});
+    EXPECT_EQ(emu::take_run_telemetry().engine_events, 2659u);
+  }
+  {
+    SCOPED_TRACE("serve_xeon sandy_bridge uniform");
+    expect_pinned(serve::serve_xeon(xeon::SystemConfig::sandy_bridge(),
+                                    uniform),
+                  {386460104, 458751, 368639, 515390, 420640, 181, 47, 28, 41});
+  }
 }
 
 }  // namespace

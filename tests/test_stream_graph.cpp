@@ -192,5 +192,54 @@ TEST(StreamDrivers, EmuMultinodeVerifiesAndRepeats) {
   EXPECT_EQ(first.migrations, again.migrations);
 }
 
+/// Exact results of one streaming run.
+struct StreamPin {
+  Time elapsed, insert_time;
+  std::uint64_t new_edges, migrations;
+  Time p99;
+};
+
+void expect_pinned(const StreamResult& r, const StreamPin& pin) {
+  ASSERT_TRUE(r.verified) << r.error;
+  EXPECT_EQ(r.elapsed, pin.elapsed);
+  EXPECT_EQ(r.insert_time, pin.insert_time);
+  EXPECT_EQ(r.new_edges, pin.new_edges);
+  EXPECT_EQ(r.migrations, pin.migrations);
+  EXPECT_EQ(r.lat.overall().p99(), pin.p99);
+}
+
+// Exact results of both drivers on the skewed stream: a change to batch
+// dispatch, worker-to-core placement or the per-phase latency path moves
+// them.
+TEST(StreamDrivers, MatchesPinnedResults) {
+  const StreamParams p = small_params(EdgeDist::rmat);
+  {
+    SCOPED_TRACE("stream_emu chick_hw");
+    expect_pinned(stream_emu(emu::SystemConfig::chick_hw(), p),
+                  {1107619000, 572359826, 332, 576, 42991615});
+  }
+  {
+    SCOPED_TRACE("stream_emu fullspeed_multinode(2)");
+    expect_pinned(stream_emu(emu::SystemConfig::fullspeed_multinode(2), p),
+                  {639234497, 185108876, 332, 652, 11272191});
+  }
+  {
+    SCOPED_TRACE("stream_xeon sandy_bridge");
+    expect_pinned(stream_xeon(xeon::SystemConfig::sandy_bridge(), p),
+                  {59007140, 47582320, 332, 0, 4456447});
+  }
+  {
+    // Sixteen workers span both sockets and a 4096-vertex graph misses the
+    // LLC, so the worker-to-core map decides which misses pay the
+    // remote-socket hop.
+    SCOPED_TRACE("stream_xeon sandy_bridge, 4096 vertices, 16 threads");
+    StreamParams wide = p;
+    wide.num_vertices = 4096;
+    wide.threads = 16;
+    expect_pinned(stream_xeon(xeon::SystemConfig::sandy_bridge(), wide),
+                  {29753410, 29164000, 459, 0, 2228223});
+  }
+}
+
 }  // namespace
 }  // namespace emusim::graph
