@@ -87,6 +87,16 @@ Machine::~Machine() {
   }
 }
 
+void Machine::append_trace(Time t, sim::TraceKind kind, std::int32_t a,
+                           std::int32_t b, std::uint64_t arg,
+                           std::int32_t tid) {
+  if (num_shards() == 1) {
+    trace.record(t, kind, a, b, arg, tid);
+    return;
+  }
+  trace_window_.push_back(sim::TraceRecord{t, kind, a, b, tid, arg});
+}
+
 void Machine::flush_trace_window() {
   // Shards run their windows in index order and each records at its own
   // non-decreasing now(), so the buffer holds the window's records shard by

@@ -252,16 +252,13 @@ class Machine {
 
   /// Record a trace event.  Single shard: straight into the tracer (the
   /// serial path).  Sharded: into the window's staging buffer, flushed into
-  /// the tracer at every window drain in canonical (t, shard) order.
+  /// the tracer at every window drain in canonical (t, shard) order.  Only
+  /// the enabled() test is inline, so an untraced memory operation never
+  /// pays a call, however the inliner treats the append.
   void record_trace(Time t, sim::TraceKind kind, std::int32_t a,
                     std::int32_t b = -1, std::uint64_t arg = 0,
                     std::int32_t tid = -1) {
-    if (!trace.enabled()) return;
-    if (num_shards() == 1) {
-      trace.record(t, kind, a, b, arg, tid);
-      return;
-    }
-    trace_window_.push_back(sim::TraceRecord{t, kind, a, b, tid, arg});
+    if (trace.enabled()) append_trace(t, kind, a, b, arg, tid);
   }
 
   /// Next simulated thread id.  Ids are striped by creation shard
@@ -307,6 +304,10 @@ class Machine {
  private:
   template <class F>
   friend sim::Task detail::thread_main(Machine*, std::unique_ptr<Context>, F);
+
+  /// record_trace's out-of-line half, reached only with tracing on.
+  void append_trace(Time t, sim::TraceKind kind, std::int32_t a,
+                    std::int32_t b, std::uint64_t arg, std::int32_t tid);
 
   /// Move the window's staged trace records into the tracer, ordered by
   /// (t, shard, intra-shard order).  Installed as the EngineSet window hook.

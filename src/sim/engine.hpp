@@ -11,16 +11,26 @@
 //     tagged payload).  Coroutine resumptions pack the raw handle into the
 //     payload word; callbacks park a SmallFn (inline small-object store,
 //     heap fallback only for oversized captures) in a free-listed slot pool
-//     and the payload carries the slot index.  Heap sifts therefore shuffle
-//     PODs and never touch a closure;
-//   * timed entries sit in an explicit 4-ary heap over a flat vector — a
-//     shallower tree than a binary heap (fewer cache lines per sift), with
-//     move-on-pop so dispatch never deep-copies anything;
-//   * entries scheduled for exactly now() — zero-delay yields, semaphore
-//     grants, sync wakeups: the bulk of spawn-tree traffic — take a FIFO
-//     ring that bypasses the heap entirely.  FIFO entries are consumed in
-//     seq order against the heap top, so the two lanes interleave exactly
-//     as one queue would.
+//     and the payload carries the slot index.  Queue moves therefore
+//     shuffle PODs and never touch a closure;
+//   * entries sit in one monotone radix queue keyed on `when` (Ahuja et al.,
+//     JACM 1990).  Simulated time never runs backwards, so every pending
+//     `when` is at least `last_`, the time of the last pop.  Bucket b > 0
+//     holds the entries whose `when` first differs from `last_` in bit
+//     b - 1, so each entry of a lower bucket precedes every entry of a
+//     higher one, and each bucket tracks its minimum: next_when() is O(1).
+//     Bucket 0 holds the entries at exactly `last_`.  When it is empty, the
+//     next pop moves `last_` to the lowest non-empty bucket's minimum and
+//     files that bucket's entries into the buckets below it.  An entry only
+//     ever moves down, so push and pop are O(1) amortised;
+//   * buckets are contiguous vectors filled in push order, and a
+//     redistribution keeps that order, so entries with equal `when` (which
+//     always share a bucket) stay in seq order and bucket 0 pops exactly in
+//     (when, seq) order.  Bucket 0 is a FIFO ring: zero-delay events —
+//     yields, semaphore grants, sync wakeups, the bulk of spawn-tree
+//     traffic — go straight into it.  Any other bucket that empties gives
+//     back capacity beyond a small reserve, so storage follows the number
+//     of pending events rather than its history.
 //
 // All coroutine resumptions go through the event queue — components never
 // resume a coroutine synchronously from inside another coroutine.  This
@@ -28,9 +38,12 @@
 // each other.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -65,9 +78,9 @@ class Engine {
   /// Resume coroutine `h` at the current time, after all already-queued
   /// events for this timestamp.  The explicit zero-delay entry point:
   /// producers that wake a peer "immediately" (semaphore grants, sync
-  /// notifications) land straight in the FIFO fast lane.
+  /// notifications) land straight in bucket 0's ring.
   void schedule_now(std::coroutine_handle<> h) {
-    fifo_push(Entry{now_, next_seq_++, coro_payload(h)});
+    push_entry(now_, coro_payload(h));
   }
 
   /// Invoke `fn` at absolute time `when`.  Any callable `void()`; captures
@@ -85,21 +98,7 @@ class Engine {
   }
 
   /// Process the earliest event.  Returns false when the queue is empty.
-  bool step() {
-    Entry e;
-    if (!pop_next(e)) return false;
-    EMUSIM_CHECK(e.when >= now_);
-    now_ = e.when;
-    ++events_processed_;
-    if ((e.payload & 1) == 0) {
-      std::coroutine_handle<>::from_address(
-          reinterpret_cast<void*>(e.payload))
-          .resume();
-    } else {
-      dispatch_slot(e.payload);
-    }
-    return true;
-  }
+  bool step() { return step_before(kNever); }
 
   /// Run until no events remain.  Returns the final simulated time.
   Time run() {
@@ -115,7 +114,8 @@ class Engine {
   /// window's cross-shard messages with schedule() / call_at().  They carry
   /// timestamps >= `end`, so they land strictly in this shard's future.
   Time run_window(Time end) {
-    while (!idle() && next_when() < end) step();
+    while (step_before(end)) {
+    }
     return now_;
   }
 
@@ -127,13 +127,20 @@ class Engine {
     if (t > now_) now_ = t;
   }
 
-  bool idle() const { return fifo_count_ == 0 && heap_.empty(); }
+  bool idle() const { return nonempty_ == 0; }
   std::uint64_t events_processed() const { return events_processed_; }
 
+  /// Host bytes the event queue's storage holds.
+  std::size_t queue_host_bytes() const {
+    std::size_t n = ring_.capacity();
+    for (const std::vector<Entry>& v : buckets_) n += v.capacity();
+    return n * sizeof(Entry);
+  }
+
   /// Awaitable: suspend the current coroutine for `delay` simulated time.
-  /// A delay of zero still round-trips through the event queue — via the
-  /// FIFO fast lane — which is useful for yielding fairly to other ready
-  /// work at the same timestamp.
+  /// A delay of zero still round-trips through the event queue — behind
+  /// every event already queued for now() — which is useful for yielding
+  /// fairly to other ready work at the same timestamp.
   auto sleep(Time delay) {
     struct Awaiter {
       Engine& eng;
@@ -169,10 +176,27 @@ class Engine {
   /// timestamp (next_when / idle) between windows.
   friend class EngineSet;
 
+  /// Process the earliest event if it is strictly before `end`.
+  bool step_before(Time end) {
+    Entry e;
+    if (!pop_before(end, e)) return false;
+    EMUSIM_CHECK(e.when >= now_);
+    now_ = e.when;
+    ++events_processed_;
+    if ((e.payload & 1) == 0) {
+      std::coroutine_handle<>::from_address(
+          reinterpret_cast<void*>(e.payload))
+          .resume();
+    } else {
+      dispatch_slot(e.payload);
+    }
+    return true;
+  }
+
   /// One queued event.  `payload` is tagged by its low bit: 0 = the address
   /// of a coroutine handle (always pointer-aligned), 1 = a SmallFn slot
   /// index shifted left by one.  Keeping entries trivially copyable is what
-  /// makes heap sifts cheap — relocation is a plain 24-byte move with no
+  /// makes redistribution cheap — relocation is a plain 24-byte move with no
   /// indirect calls.
   struct Entry {
     Time when;
@@ -213,128 +237,96 @@ class Engine {
     return (static_cast<std::uintptr_t>(slot) << 1) | 1;
   }
 
-  /// (when, seq) packed into one 128-bit key.  `when` is never negative
-  /// (time starts at 0 and schedule() checks when >= now()), so unsigned
-  /// comparison of the packed key matches lexicographic (when, seq) order
-  /// and compiles to a branchless cmp/sbb pair — heap sifts on mixed
-  /// timestamps would otherwise mispredict the when-vs-seq tie branch.
-  static unsigned __int128 order_key(const Entry& e) {
-    return (static_cast<unsigned __int128>(static_cast<std::uint64_t>(e.when))
-            << 64) |
-           e.seq;
-  }
-
-  static bool before(const Entry& a, const Entry& b) {
-    return order_key(a) < order_key(b);
-  }
-
   /// Scalar parameters on purpose: a 24-byte Entry argument would be passed
   /// on the stack (SysV passes >16-byte aggregates in memory), and this is
   /// called once per scheduled event — often as an out-of-line call from a
   /// coroutine frame.
   void push_entry(Time when, std::uintptr_t payload) {
-    const Entry e{when, next_seq_++, payload};
-    if (e.when == now_) {
-      fifo_push(e);
+    place(Entry{when, next_seq_++, payload});
+  }
+
+  // --- Monotone radix queue keyed on `when` ------------------------------
+
+  static constexpr int kBuckets = 64;  ///< `when` >= 0: bit 63 never differs
+  /// Entries of capacity a bucket keeps when it empties.
+  static constexpr std::size_t kReserve = 64;
+  static constexpr Time kNever = std::numeric_limits<Time>::max();
+
+  /// File `e` by the highest bit in which its `when` differs from `last_`.
+  void place(const Entry& e) {
+    const int b = std::bit_width(static_cast<std::uint64_t>(e.when ^ last_));
+    nonempty_ |= std::uint64_t{1} << b;
+    if (b == 0) {
+      if (count0_ == ring_.size()) grow_ring();
+      ring_[(head0_ + count0_++) & (ring_.size() - 1)] = e;
     } else {
-      heap_push(e);
+      buckets_[b].push_back(e);
+      if (e.when < min_[b]) min_[b] = e.when;
     }
   }
 
-  // --- 4-ary min-heap over a flat vector, ordered by (when, seq) ---------
-
-  void heap_push(Entry e) {
-    heap_.push_back(e);
-    std::size_t i = heap_.size() - 1;
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (!before(e, heap_[parent])) break;
-      heap_[i] = heap_[parent];
-      i = parent;
+  /// Double bucket 0's ring (kReserve entries at first), keeping its order.
+  void grow_ring() {
+    std::vector<Entry> grown(ring_.empty() ? kReserve : 2 * ring_.size());
+    for (std::size_t k = 0; k < count0_; ++k) {
+      grown[k] = ring_[(head0_ + k) & (ring_.size() - 1)];
     }
-    heap_[i] = e;
-  }
-
-  Entry heap_pop() {
-    const Entry top = heap_.front();
-    const Entry last = heap_.back();
-    heap_.pop_back();
-    const std::size_t n = heap_.size();
-    if (n > 0) {
-      std::size_t i = 0;
-      for (;;) {
-        const std::size_t first = 4 * i + 1;
-        if (first >= n) break;
-        std::size_t best = first;
-        const std::size_t end = first + 4 < n ? first + 4 : n;
-        for (std::size_t c = first + 1; c < end; ++c) {
-          if (before(heap_[c], heap_[best])) best = c;
-        }
-        if (!before(heap_[best], last)) break;
-        heap_[i] = heap_[best];
-        i = best;
-      }
-      heap_[i] = last;
-    }
-    return top;
-  }
-
-  // --- FIFO fast lane: a ring of entries with when == now() --------------
-  //
-  // Entries are pushed with monotonically increasing seq, so the ring is
-  // sorted by seq by construction; pop_next() merges it with the heap top
-  // by (when, seq) to preserve global insertion-order ties.  The ring fully
-  // drains before time can advance: its entries carry the minimum pending
-  // timestamp by the when >= now() scheduling invariant.
-
-  void fifo_push(Entry e) {
-    if (fifo_count_ == fifo_.size()) fifo_grow();
-    fifo_[(fifo_head_ + fifo_count_) & (fifo_.size() - 1)] = e;
-    ++fifo_count_;
-  }
-
-  Entry fifo_pop() {
-    const Entry e = fifo_[fifo_head_];
-    fifo_head_ = (fifo_head_ + 1) & (fifo_.size() - 1);
-    --fifo_count_;
-    return e;
-  }
-
-  /// Double the ring (64 entries at first), preserving queued entries in
-  /// order.
-  void fifo_grow() {
-    const std::size_t old_cap = fifo_.size();
-    std::vector<Entry> grown(old_cap == 0 ? 64 : old_cap * 2);
-    for (std::size_t k = 0; k < fifo_count_; ++k) {
-      grown[k] = fifo_[(fifo_head_ + k) & (old_cap - 1)];
-    }
-    fifo_ = std::move(grown);
-    fifo_head_ = 0;
+    ring_ = std::move(grown);
+    head0_ = 0;
   }
 
   /// Timestamp of the earliest pending event; queue must not be idle.
   Time next_when() const {
-    if (fifo_count_ > 0) return fifo_[fifo_head_].when;
-    return heap_.front().when;
+    return (nonempty_ & 1) ? last_ : min_[std::countr_zero(nonempty_)];
   }
 
-  bool pop_next(Entry& out) {
-    const bool have_fifo = fifo_count_ > 0;
-    const bool have_heap = !heap_.empty();
-    if (!have_fifo && !have_heap) return false;
-    if (have_fifo &&
-        (!have_heap || before(fifo_[fifo_head_], heap_.front()))) {
-      out = fifo_pop();
-    } else {
-      out = heap_pop();
+  /// Pop the earliest entry if it is strictly before `end`.  With bucket 0
+  /// empty, the lowest non-empty bucket b holds the minimum m: `last_`
+  /// moves to m, and every other entry of b differs from m only below bit
+  /// b - 1, so it lands in a lower bucket, in b's order.
+  bool pop_before(Time end, Entry& out) {
+    if ((nonempty_ & 1) == 0) {
+      if (nonempty_ == 0) return false;
+      const int b = std::countr_zero(nonempty_);
+      if (min_[b] >= end) return false;
+      last_ = min_[b];
+      std::vector<Entry>& from = buckets_[b];
+      if (from.size() == 1) {
+        out = from[0];
+        clear_bucket(b);
+        return true;
+      }
+      for (const Entry& e : from) place(e);
+      clear_bucket(b);
+    } else if (last_ >= end) {
+      return false;
     }
+    out = ring_[head0_];
+    head0_ = (head0_ + 1) & (ring_.size() - 1);
+    if (--count0_ == 0) nonempty_ &= ~std::uint64_t{1};
     return true;
   }
 
-  std::vector<Entry> heap_;
-  std::vector<Entry> fifo_;  ///< power-of-two ring buffer
-  std::size_t fifo_head_ = 0;
-  std::size_t fifo_count_ = 0;
+  /// Empty bucket `b` (> 0), giving back capacity beyond the reserve.
+  void clear_bucket(int b) {
+    std::vector<Entry>& v = buckets_[b];
+    v.clear();
+    if (v.capacity() > kReserve) std::vector<Entry>().swap(v);
+    min_[b] = kNever;
+    nonempty_ &= ~(std::uint64_t{1} << b);
+  }
+
+  std::vector<Entry> ring_;  ///< bucket 0: a power-of-two ring
+  std::size_t head0_ = 0;
+  std::size_t count0_ = 0;
+  std::array<std::vector<Entry>, kBuckets> buckets_;  ///< [0] unused
+  std::array<Time, kBuckets> min_ = [] {  ///< per-bucket minimum `when`
+    std::array<Time, kBuckets> m;
+    m.fill(kNever);
+    return m;
+  }();
+  std::uint64_t nonempty_ = 0;  ///< bit b set iff bucket b holds entries
+  Time last_ = 0;               ///< time of the last pop; moved by pops only
   std::vector<SmallFn> slots_;  ///< parked callbacks, free-listed
   std::vector<std::uint32_t> free_slots_;
   Time now_ = 0;

@@ -54,10 +54,11 @@ TEST(Engine, NestedScheduling) {
 }
 
 TEST(Engine, SameTimestampOrderSpansHeapAndFifoLanes) {
-  // Events 2 and 3 are scheduled for "now" from inside event 0 and take the
-  // zero-delay FIFO fast lane; event 1 was scheduled earlier for the same
-  // timestamp and sits in the heap.  Global insertion order must still win:
-  // the heap's seq-1 event fires before the FIFO's seq-2/seq-3 events.
+  // Event 1 was scheduled in advance for ns(10) and reaches bucket 0 by a
+  // redistribution; events 2 and 3 are scheduled for "now" from inside
+  // event 0 and go straight into bucket 0's ring (the old heap and FIFO
+  // lanes, which the test is named after).  Global insertion order must
+  // win: the seq-1 event fires before the seq-2/seq-3 events.
   Engine eng;
   std::vector<int> order;
   eng.call_at(ns(10), [&] {
@@ -71,7 +72,7 @@ TEST(Engine, SameTimestampOrderSpansHeapAndFifoLanes) {
   EXPECT_EQ(eng.now(), ns(10));
 }
 
-/// Suspend and requeue via schedule_now(): the explicit FIFO entry point.
+/// Suspend and requeue via schedule_now(): the explicit zero-delay entry.
 struct ScheduleNowAwaiter {
   Engine& eng;
   bool await_ready() const noexcept { return false; }
@@ -80,7 +81,7 @@ struct ScheduleNowAwaiter {
 };
 
 /// Suspend and requeue via schedule(now(), h): the general entry point fed
-/// a same-timestamp event, which must route to the FIFO lane too.
+/// a same-timestamp event, which must land in bucket 0 too.
 struct ScheduleAtNowAwaiter {
   Engine& eng;
   bool await_ready() const noexcept { return false; }
@@ -110,24 +111,24 @@ Task lane_probe(Engine& eng, std::vector<int>* order, int id, int mode) {
 TEST(Engine, SameTimestampTiesAcrossAllEntryPoints) {
   // All three ways of queueing work "for the current timestamp" —
   // schedule_now(), schedule(now(), h), and a zero-delay sleep — must obey
-  // one global insertion order together with heap-lane events scheduled for
-  // the same timestamp in advance.  This is the tie invariant the sharded
+  // one global insertion order together with events scheduled for the same
+  // timestamp in advance.  This is the tie invariant the sharded
   // engine's mailbox merge has to preserve, pinned down on one engine.
   auto run_once = [](Engine& eng) {
     std::vector<int> order;
-    eng.call_at(ns(10), [&] { order.push_back(0); });  // heap lane, seq 0
+    eng.call_at(ns(10), [&] { order.push_back(0); });  // in advance, seq 0
     std::vector<Task> tasks;
     tasks.push_back(lane_probe(eng, &order, 1, 0));  // sleeps: seq 1
     tasks.push_back(lane_probe(eng, &order, 2, 1));  // seq 2
     tasks.push_back(lane_probe(eng, &order, 3, 2));  // seq 3
     for (auto& t : tasks) t.start();
-    eng.call_at(ns(10), [&] { order.push_back(4); });  // heap lane, seq 4
+    eng.call_at(ns(10), [&] { order.push_back(4); });  // in advance, seq 4
     eng.run();
     return order;
   };
-  // At ns(10) the heap-lane events fire in seq order (0,1,2,3,4); each probe
-  // requeues itself through its FIFO-lane entry point, so the +10 echoes
-  // follow in the same relative order.
+  // At ns(10) the events queued in advance fire in seq order (0,1,2,3,4);
+  // each probe requeues itself through its zero-delay entry point, so the
+  // +10 echoes follow in the same relative order.
   const std::vector<int> want{0, 1, 2, 3, 4, 11, 12, 13};
   Engine eng;
   EXPECT_EQ(run_once(eng), want);
@@ -166,7 +167,7 @@ Task yield_chain(Engine& eng, std::vector<int>* order, int id, int rounds) {
 }
 
 TEST(Engine, ZeroDelayYieldsInterleaveRoundRobin) {
-  // Zero-delay sleeps ride the FIFO lane; seq order degenerates to a fair
+  // Zero-delay sleeps ride bucket 0's ring; seq order degenerates to a fair
   // round-robin over the ready tasks, all at one timestamp.
   Engine eng;
   std::vector<int> order;
@@ -198,8 +199,8 @@ TEST(Engine, DispatchNeverCopiesCallbacks) {
   Engine eng;
   int copies = 0;
   int invocations = 0;
-  // Surround the counted event with neighbors at other timestamps so heap
-  // sift-up and sift-down both relocate it.
+  // Surround the counted event with neighbors at other timestamps so
+  // redistributions move its entry between buckets.
   for (int i = 0; i < 16; ++i) eng.call_at(ns(i), [] {});
   eng.call_at(ns(8), CopyCountingCallable(&copies, &invocations));
   for (int i = 16; i < 32; ++i) eng.call_at(ns(i), [] {});
