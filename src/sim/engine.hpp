@@ -7,8 +7,8 @@
 // fully deterministic.
 //
 // The queue is allocation-free on the hot path:
-//   * a queued event is a trivially-copyable 24-byte entry — (when, seq,
-//     tagged payload).  Coroutine resumptions pack the raw handle into the
+//   * a queued event is a trivially-copyable 16-byte entry — (when, tagged
+//     payload).  Coroutine resumptions pack the raw handle into the
 //     payload word; callbacks park a SmallFn (inline small-object store,
 //     heap fallback only for oversized captures) in a free-listed slot pool
 //     and the payload carries the slot index.  Queue moves therefore
@@ -25,8 +25,8 @@
 //     ever moves down, so push and pop are O(1) amortised;
 //   * buckets are contiguous vectors filled in push order, and a
 //     redistribution keeps that order, so entries with equal `when` (which
-//     always share a bucket) stay in seq order and bucket 0 pops exactly in
-//     (when, seq) order.  Bucket 0 is a FIFO ring: zero-delay events —
+//     always share a bucket) stay in insertion order and bucket 0 pops in
+//     exactly (when, insertion) order.  Bucket 0 is a FIFO ring: zero-delay events —
 //     yields, semaphore grants, sync wakeups, the bulk of spawn-tree
 //     traffic — go straight into it.  Any other bucket that empties gives
 //     back capacity beyond a small reserve, so storage follows the number
@@ -196,11 +196,11 @@ class Engine {
   /// One queued event.  `payload` is tagged by its low bit: 0 = the address
   /// of a coroutine handle (always pointer-aligned), 1 = a SmallFn slot
   /// index shifted left by one.  Keeping entries trivially copyable is what
-  /// makes redistribution cheap — relocation is a plain 24-byte move with no
-  /// indirect calls.
+  /// makes redistribution cheap — relocation is a plain 16-byte move with no
+  /// indirect calls.  Entries carry no sequence number: push order within a
+  /// bucket is insertion order.
   struct Entry {
     Time when;
-    std::uint64_t seq;
     std::uintptr_t payload;
   };
 
@@ -237,12 +237,8 @@ class Engine {
     return (static_cast<std::uintptr_t>(slot) << 1) | 1;
   }
 
-  /// Scalar parameters on purpose: a 24-byte Entry argument would be passed
-  /// on the stack (SysV passes >16-byte aggregates in memory), and this is
-  /// called once per scheduled event — often as an out-of-line call from a
-  /// coroutine frame.
   void push_entry(Time when, std::uintptr_t payload) {
-    place(Entry{when, next_seq_++, payload});
+    place(Entry{when, payload});
   }
 
   // --- Monotone radix queue keyed on `when` ------------------------------
@@ -330,7 +326,6 @@ class Engine {
   std::vector<SmallFn> slots_;  ///< parked callbacks, free-listed
   std::vector<std::uint32_t> free_slots_;
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
 };
 

@@ -11,7 +11,7 @@ EngineSet::EngineSet(std::size_t shards) : engines_(shards) {
 void EngineSet::plan() {
   // Drain the mailbox in canonical order: stable-sort by timestamp
   // (preserving the source-major posting order within a timestamp), then
-  // deliver.  Each destination engine assigns seq numbers in this order,
+  // deliver.  Each destination engine queues its messages in this order,
   // which fixes all downstream tie-breaking.
   std::stable_sort(mail_.begin(), mail_.end(),
                    [](const Msg& a, const Msg& b) { return a.when < b.when; });

@@ -15,14 +15,14 @@
 // event-free gaps are skipped in one hop.
 //
 // The event order is a function of the machine configuration alone:
-//   * per-shard seq counters — intra-shard tie order is the serial engine's
+//   * per-shard queues — intra-shard tie order is the serial engine's
 //     insertion order;
 //   * a canonical mailbox drain order — the mailbox is stable-sorted by
 //     timestamp and delivered in that order.  Posting order is source-major
 //     (shards run their windows in index order, and posts made before the
 //     first window come from shard 0), so each destination receives its
-//     messages by (timestamp, source shard, posting order) and assigns its
-//     seq numbers — and therefore all downstream tie-breaking — reproducibly;
+//     messages by (timestamp, source shard, posting order), which fixes its
+//     insertion order — and therefore all downstream tie-breaking;
 //   * one planning step per window — drain, hook, then the next window,
 //     so the window sequence is a pure function of simulation state.
 //

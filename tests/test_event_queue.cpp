@@ -209,7 +209,7 @@ TEST(EventQueue, HostStorageFollowsPendingEvents) {
   // times over: storage stays within a small multiple of the burst while it
   // is pending and keeps no per-bucket capacity once it drains.
   constexpr std::size_t kBurst = 100000;
-  const std::size_t burst_bytes = kBurst * 24;  // one 24-byte entry each
+  const std::size_t burst_bytes = kBurst * 16;  // one 16-byte entry each
   Engine eng;
   Rng rng(7);
   std::size_t peak = 0;
@@ -221,7 +221,7 @@ TEST(EventQueue, HostStorageFollowsPendingEvents) {
     peak = std::max(peak, eng.queue_host_bytes());
     while (eng.step()) peak = std::max(peak, eng.queue_host_bytes());
     EXPECT_LE(peak, 4 * burst_bytes);
-    EXPECT_LE(eng.queue_host_bytes(), std::size_t{64} * 64 * 24);
+    EXPECT_LE(eng.queue_host_bytes(), std::size_t{64} * 64 * 16);
   }
   EXPECT_EQ(eng.events_processed(), 5 * kBurst);
 }
