@@ -67,7 +67,7 @@ class Engine {
   /// Resume coroutine `h` at absolute time `when` (>= now()).
   void schedule(Time when, std::coroutine_handle<> h) {
     EMUSIM_CHECK(when >= now_);
-    push_entry(when, coro_payload(h));
+    place(Entry{when, coro_payload(h)});
   }
 
   /// Resume coroutine `h` after `delay`.
@@ -80,7 +80,7 @@ class Engine {
   /// producers that wake a peer "immediately" (semaphore grants, sync
   /// notifications) land straight in bucket 0's ring.
   void schedule_now(std::coroutine_handle<> h) {
-    push_entry(now_, coro_payload(h));
+    place(Entry{now_, coro_payload(h)});
   }
 
   /// Invoke `fn` at absolute time `when`.  Any callable `void()`; captures
@@ -88,7 +88,7 @@ class Engine {
   template <class F>
   void call_at(Time when, F&& fn) {
     EMUSIM_CHECK(when >= now_);
-    push_entry(when, slot_payload(std::forward<F>(fn)));
+    place(Entry{when, slot_payload(std::forward<F>(fn))});
   }
 
   /// Invoke `fn` after `delay`.
@@ -235,10 +235,6 @@ class Engine {
       slots_.emplace_back(std::forward<F>(fn));
     }
     return (static_cast<std::uintptr_t>(slot) << 1) | 1;
-  }
-
-  void push_entry(Time when, std::uintptr_t payload) {
-    place(Entry{when, payload});
   }
 
   // --- Monotone radix queue keyed on `when` ------------------------------
